@@ -55,8 +55,11 @@ def _print_error(message: str, as_json: bool, span=None) -> int:
     return USAGE
 
 
-def _parse_operator_input(text: str) -> OrderedPolynomial | FreeExpression:
-    return exprio.parse(text)
+def _as_words(value: OrderedPolynomial | FreeExpression) -> FreeExpression:
+    # A parsed block enters a bare expression as its P-Q words.
+    if isinstance(value, OrderedPolynomial):
+        return to_expression(conv.convert(value, Ordering.PQ))
+    return value
 
 
 def _to_polynomial(
@@ -89,8 +92,7 @@ def _polynomial_outcome(poly: OrderedPolynomial) -> dict:
 def cmd_convert(args) -> int:
     as_json = args.format == "json"
     try:
-        value = _parse_operator_input(args.expr)
-        poly = _to_polynomial(value, _TAGS[args.to])
+        poly = _to_polynomial(exprio.parse(args.expr), _TAGS[args.to])
     except exprio.ParseError as exc:
         return _print_error(exc.pretty(args.expr), as_json, exc.span)
     except UnsupportedSymbolError as exc:
@@ -103,18 +105,8 @@ def cmd_convert(args) -> int:
 def cmd_commutator(args) -> int:
     as_json = args.format == "json"
     try:
-        left = exprio.parse(args.left)
-        right = exprio.parse(args.right)
-        left_expr = (
-            to_expression(conv.convert(left, Ordering.PQ))
-            if isinstance(left, OrderedPolynomial)
-            else left
-        )
-        right_expr = (
-            to_expression(conv.convert(right, Ordering.PQ))
-            if isinstance(right, OrderedPolynomial)
-            else right
-        )
+        left_expr = _as_words(exprio.parse(args.left))
+        right_expr = _as_words(exprio.parse(args.right))
         bracket = rewrite_to_pq(
             left_expr * right_expr - right_expr * left_expr
         )
@@ -133,12 +125,7 @@ def cmd_expand(args) -> int:
     if args.power < 0:
         return _print_error("--power must be non-negative", as_json)
     try:
-        value = _parse_operator_input(args.expr)
-        base = (
-            to_expression(conv.convert(value, Ordering.PQ))
-            if isinstance(value, OrderedPolynomial)
-            else value
-        )
+        base = _as_words(exprio.parse(args.expr))
         poly = _to_polynomial(PowerNode(base, args.power), _TAGS[args.to])
     except exprio.ParseError as exc:
         return _print_error(exc.pretty(args.expr), as_json, exc.span)

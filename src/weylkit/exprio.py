@@ -39,6 +39,7 @@ from .opalg import (
     SymbolNode,
     to_expression,
 )
+from .ordering import CommutativePoly2
 
 
 class ParseError(ValueError):
@@ -161,53 +162,6 @@ def tokenize(text: str) -> list[Token]:
         raise ParseError(f"unexpected character {ch!r}", (pos, pos + 1))
     tokens.append(Token("eof", "", size, size))
     return tokens
-
-
-# Commutative block bodies accumulate exponent-pair terms directly.
-_CommTerms = dict  # {(m, r): ExactScalar}
-
-
-def _comm_scalar(value: ExactScalar) -> _CommTerms:
-    return {} if value.is_zero() else {(0, 0): value}
-
-
-def _comm_add(x: _CommTerms, y: _CommTerms) -> _CommTerms:
-    out = dict(x)
-    for key, coeff in y.items():
-        acc = out.get(key)
-        coeff = coeff if acc is None else acc + coeff
-        if coeff.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = coeff
-    return out
-
-
-def _comm_mul(x: _CommTerms, y: _CommTerms) -> _CommTerms:
-    out: _CommTerms = {}
-    for (m1, r1), c1 in x.items():
-        for (m2, r2), c2 in y.items():
-            key = (m1 + m2, r1 + r2)
-            coeff = c1 * c2
-            acc = out.get(key)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = coeff
-    return out
-
-
-def _comm_neg(x: _CommTerms) -> _CommTerms:
-    minus_one = ExactScalar.from_int(-1)
-    return {key: coeff * minus_one for key, coeff in x.items()}
-
-
-def _comm_pow(x: _CommTerms, n: int) -> _CommTerms:
-    out = _comm_scalar(ONE)
-    for _ in range(n):
-        out = _comm_mul(out, x)
-    return out
 
 
 def _rational_value(token: Token) -> ExactScalar:
@@ -342,71 +296,69 @@ class _Parser:
     def parse_block(self) -> OrderedPolynomial:
         open_token = self.expect("order_open")
         tag = _ORDER_TAGS[open_token.text]
-        terms = self.parse_comm_expr()
+        body = self.parse_comm_expr()
         self.expect("rbrace")
-        return OrderedPolynomial.from_terms(tag, terms.items())
+        return OrderedPolynomial.from_terms(tag, body.terms.items())
 
-    def parse_comm_expr(self) -> _CommTerms:
+    def parse_comm_expr(self) -> CommutativePoly2:
+        terms = []
         negate = False
         if self.peek().kind == "minus":
             self.advance()
             negate = True
-        total = self.parse_comm_term()
-        if negate:
-            total = _comm_neg(total)
-        while self.peek().kind in ("plus", "minus"):
-            op = self.advance()
+        while True:
             term = self.parse_comm_term()
-            total = _comm_add(
-                total, _comm_neg(term) if op.kind == "minus" else term
-            )
-        return total
+            terms.extend((-term if negate else term).terms.items())
+            if self.peek().kind not in ("plus", "minus"):
+                return CommutativePoly2.from_terms(terms)
+            negate = self.advance().kind == "minus"
 
-    def parse_comm_term(self) -> _CommTerms:
+    def parse_comm_term(self) -> CommutativePoly2:
         total = self.parse_comm_unary()
         while self.peek().kind == "star":
             self.advance()
-            total = _comm_mul(total, self.parse_comm_unary())
+            total = total * self.parse_comm_unary()
         token = self.peek()
         if token.kind not in ("plus", "minus", "rparen", "rbrace", "eof"):
             self.fail_junk(token)
         return total
 
-    def parse_comm_unary(self) -> _CommTerms:
+    def parse_comm_unary(self) -> CommutativePoly2:
         if self.peek().kind == "minus":
             self.advance()
-            return _comm_neg(self.parse_comm_unary())
+            return -self.parse_comm_unary()
         return self.parse_comm_factor()
 
-    def parse_comm_factor(self) -> _CommTerms:
+    def parse_comm_factor(self) -> CommutativePoly2:
         base = self.parse_comm_primary()
         if self.peek().kind == "caret":
             self.advance()
             exponent = self.expect("int")
-            return _comm_pow(base, int(exponent.text))
+            return base ** int(exponent.text)
         return base
 
-    def parse_comm_primary(self) -> _CommTerms:
+    def parse_comm_primary(self) -> CommutativePoly2:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return _comm_scalar(ExactScalar(Fraction(int(token.text))))
+            value = ExactScalar(Fraction(int(token.text)))
+            return CommutativePoly2.monomial(0, 0, value)
         if token.kind == "rational":
             self.advance()
-            return _comm_scalar(_rational_value(token))
+            return CommutativePoly2.monomial(0, 0, _rational_value(token))
         if token.kind == "imag":
             self.advance()
-            return _comm_scalar(I)
+            return CommutativePoly2.monomial(0, 0, I)
         if token.kind == "sqrt2":
             self.advance()
-            return _comm_scalar(SQRT2)
+            return CommutativePoly2.monomial(0, 0, SQRT2)
         if token.kind == "symbol":
             self.advance()
             sym = _SYMBOLS[token.text]
             if sym is Symbol.Q:
-                return {(1, 0): ONE}
+                return CommutativePoly2.monomial(1, 0)
             if sym is Symbol.P:
-                return {(0, 1): ONE}
+                return CommutativePoly2.monomial(0, 1)
             raise ParseError(
                 "ladder symbols cannot appear inside an ordering block",
                 token.span,

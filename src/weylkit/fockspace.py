@@ -58,9 +58,6 @@ class FockMatrix:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def reliable_block(self) -> np.ndarray:
-        return self.data[: self.reliable_dim, : self.reliable_dim]
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,

@@ -19,6 +19,10 @@ normal-ordered once and its result reused, and the powers of the
 correction are counted as integers, so the cost is polynomial in the
 word length rather than exponential in its inversion count.
 
+:func:`collect` is the package's single sparse-sum core: the terms of
+every polynomial type, the word expansions here and the conversions in
+:mod:`weylkit.ordering` are all summed by key through it.
+
 All values are immutable and the operations are pure.
 """
 
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .exactnum import ExactScalar, I, MINUS_I, ONE, SQRT2, ZERO
 
@@ -44,8 +48,7 @@ class Ordering(enum.Enum):
 
 
 class LadderOrdering(enum.Enum):
-    NORMAL = "normal"          # each term (j, k) means (a+)^j a^k
-    ANTINORMAL = "antinormal"  # each term (j, k) means a^k (a+)^j
+    NORMAL = "normal"  # each term (j, k) means (a+)^j a^k
 
 
 class Monomial(NamedTuple):
@@ -59,16 +62,21 @@ class Monomial(NamedTuple):
         return self.m + self.r
 
 
-def _clean(terms: Iterable[tuple[tuple[int, int], ExactScalar]]) -> dict:
-    out: dict[Monomial, ExactScalar] = {}
-    for key, coeff in terms:
-        mon = Monomial(*key)
-        acc = out.get(mon)
+def collect(pairs: Iterable[tuple[Hashable, ExactScalar]]) -> dict:
+    """Sum coefficients by key, dropping keys whose sum is zero.
+
+    Keys stay in order of first appearance (a key whose sum hit zero
+    re-enters at the end), so one call over a concatenation gives the
+    same dict, order included, as collecting its parts in turn.
+    """
+    out: dict = {}
+    for key, coeff in pairs:
+        acc = out.get(key)
         coeff = coeff if acc is None else acc + coeff
         if coeff.is_zero():
-            out.pop(mon, None)
+            out.pop(key, None)
         else:
-            out[mon] = coeff
+            out[key] = coeff
     return out
 
 
@@ -90,7 +98,7 @@ class OrderedPolynomial:
         ordering: Ordering,
         terms: Iterable[tuple[tuple[int, int], ExactScalar]],
     ) -> OrderedPolynomial:
-        return cls(ordering, _clean(terms))
+        return cls(ordering, collect((Monomial(*key), c) for key, c in terms))
 
     @classmethod
     def zero(cls, ordering: Ordering) -> OrderedPolynomial:
@@ -159,15 +167,7 @@ class LadderPolynomial:
         ordering: LadderOrdering,
         terms: Iterable[tuple[tuple[int, int], ExactScalar]],
     ) -> LadderPolynomial:
-        out: dict[tuple[int, int], ExactScalar] = {}
-        for key, coeff in terms:
-            acc = out.get(key)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = coeff
-        return cls(ordering, out)
+        return cls(ordering, collect(terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -258,16 +258,9 @@ class SumNode(FreeExpression):
     children: tuple[FreeExpression, ...]
 
     def expand(self) -> dict[Word, ExactScalar]:
-        out: dict[Word, ExactScalar] = {}
-        for child in self.children:
-            for word, coeff in child.expand().items():
-                acc = out.get(word)
-                coeff = coeff if acc is None else acc + coeff
-                if coeff.is_zero():
-                    out.pop(word, None)
-                else:
-                    out[word] = coeff
-        return out
+        return collect(
+            pair for child in self.children for pair in child.expand().items()
+        )
 
 
 @dataclass(frozen=True)
@@ -279,18 +272,11 @@ class ProductNode(FreeExpression):
         out: dict[Word, ExactScalar] = {(): ONE}
         for child in self.children:
             rhs = child.expand()
-            nxt: dict[Word, ExactScalar] = {}
-            for w1, c1 in out.items():
-                for w2, c2 in rhs.items():
-                    word = w1 + w2
-                    coeff = c1 * c2
-                    acc = nxt.get(word)
-                    coeff = coeff if acc is None else acc + coeff
-                    if coeff.is_zero():
-                        nxt.pop(word, None)
-                    else:
-                        nxt[word] = coeff
-            out = nxt
+            out = collect(
+                (w1 + w2, c1 * c2)
+                for w1, c1 in out.items()
+                for w2, c2 in rhs.items()
+            )
         return out
 
 
@@ -463,7 +449,7 @@ _LADDER_IMAGE = {
 
 def substitute_ladder(e: FreeExpression) -> LadderPolynomial:
     """Rewrite a {Q, P} expression in normal-ordered ladder form."""
-    expanded: dict[Word, ExactScalar] = {}
+    expanded: list[tuple[Word, ExactScalar]] = []
     for word, coeff in e.expand().items():
         partial: dict[Word, ExactScalar] = {(): coeff}
         for sym in word:
@@ -471,23 +457,13 @@ def substitute_ladder(e: FreeExpression) -> LadderPolynomial:
                 raise UnsupportedSymbolError(
                     f"substitute_ladder expects Q/P input, got {sym.value!r}"
                 )
-            nxt: dict[Word, ExactScalar] = {}
-            for w, c in partial.items():
-                for target, factor in _LADDER_IMAGE[sym]:
-                    key = w + (target,)
-                    add = c * factor
-                    acc = nxt.get(key)
-                    add = add if acc is None else acc + add
-                    nxt[key] = add
-            partial = nxt
-        for w, c in partial.items():
-            acc = expanded.get(w)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                expanded.pop(w, None)
-            else:
-                expanded[w] = c
-    return _normal_order_ladder_words(expanded)
+            partial = collect(
+                (w + (target,), c * factor)
+                for w, c in partial.items()
+                for target, factor in _LADDER_IMAGE[sym]
+            )
+        expanded.extend(partial.items())
+    return _normal_order_ladder_words(collect(expanded))
 
 
 def commutator(x: FreeExpression, y: FreeExpression) -> OrderedPolynomial:

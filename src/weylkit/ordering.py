@@ -1,16 +1,24 @@
 """Closed-form conversions among Weyl, P-Q and Q-P operator orderings.
 
-All six monomial conversion maps are generated by one coefficient
-family,
+All six monomial conversion maps are literally one generator,
+:func:`_conversion_terms`, of the coefficient family
 
-    sum over l of (s*i/2)^l l! C(m,l) C(r,l) * (lower monomial),
+    sum over l of f^l l! C(m,l) C(r,l) * Q^(m-l) P^(r-l),
 
-with the sign s depending on the direction.  The same reduction arises
-from two-variable Hermite polynomials with scaled arguments; both routes
-are implemented (the Hermite route symbolically, over Q(i, sqrt2)) and
-their exact agreement is part of the test suite.  Everything here is a
-pure function over exact scalars, so conversions can be cross-checked
-bit-for-bit against the brute-force rewriting in :mod:`weylkit.opalg`.
+with the factor f read by source and target tag from ``_FACTORS``:
++-i/2 to or from Weyl form, +-i between the two word orders.  The
+closed-form commutators, :func:`convert`, the (P+Q)^n expansions and the
+symbolic phase-space transform in :mod:`weylkit.phasexform` are sums
+over the same generator, each accumulated by one
+:func:`weylkit.opalg.collect`.
+
+The same reduction arises from two-variable Hermite polynomials with
+scaled arguments; both routes are implemented (the Hermite route
+symbolically, over Q(i, sqrt2)) and their exact agreement is part of
+the test suite, so :func:`hermite_two_var` keeps its own factorial
+formula.  Everything here is a pure function over exact scalars, so
+conversions can be cross-checked bit-for-bit against the brute-force
+rewriting in :mod:`weylkit.opalg`.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import islice
+from typing import Iterable, Iterator, Mapping
 
 from .exactnum import ExactScalar, I, I_HALF, MINUS_I, ONE, SQRT2
 from .opalg import (
@@ -30,9 +39,11 @@ from .opalg import (
     Q,
     ScalarNode,
     SumNode,
+    collect,
 )
 
 MINUS_I_HALF = -I_HALF
+MINUS_ONE = ExactScalar.from_int(-1)
 
 
 @dataclass(frozen=True)
@@ -45,15 +56,7 @@ class CommutativePoly2:
     def from_terms(
         cls, terms: Iterable[tuple[tuple[int, int], ExactScalar]]
     ) -> CommutativePoly2:
-        out: dict[tuple[int, int], ExactScalar] = {}
-        for key, coeff in terms:
-            acc = out.get(key)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = coeff
-        return cls(out)
+        return cls(collect(terms))
 
     @classmethod
     def zero(cls) -> CommutativePoly2:
@@ -71,8 +74,11 @@ class CommutativePoly2:
             list(self.terms.items()) + list(other.terms.items())
         )
 
+    def __neg__(self) -> CommutativePoly2:
+        return self.scale(MINUS_ONE)
+
     def __sub__(self, other: CommutativePoly2) -> CommutativePoly2:
-        return self + other.scale(ExactScalar.from_int(-1))
+        return self + (-other)
 
     def __mul__(self, other: CommutativePoly2) -> CommutativePoly2:
         out: list[tuple[tuple[int, int], ExactScalar]] = []
@@ -80,6 +86,14 @@ class CommutativePoly2:
             for (i2, j2), c2 in other.terms.items():
                 out.append(((i1 + i2, j1 + j2), c1 * c2))
         return CommutativePoly2.from_terms(out)
+
+    def __pow__(self, n: int) -> CommutativePoly2:
+        if n == 0:
+            return CommutativePoly2.monomial(0, 0)
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
     def scale(self, factor: ExactScalar) -> CommutativePoly2:
         if factor.is_zero():
@@ -127,61 +141,63 @@ def hermite_two_var(m: int, r: int) -> CommutativePoly2:
     return CommutativePoly2.from_terms(terms)
 
 
-def _conversion_coefficients(
-    m: int, r: int, half: ExactScalar
-) -> list[tuple[int, ExactScalar]]:
-    """Coefficients half^l l! C(m,l) C(r,l) for l = 0..min(m,r)."""
-    out = []
+def _conversion_terms(
+    m: int, r: int, factor: ExactScalar
+) -> Iterator[tuple[tuple[int, int], ExactScalar]]:
+    """((m-l, r-l), factor^l l! C(m,l) C(r,l)) for l = 0..min(m,r)."""
+    power = ONE
     for l in range(min(m, r) + 1):
-        c = ExactScalar.from_int(
-            math.factorial(l) * math.comb(m, l) * math.comb(r, l)
-        )
-        out.append((l, c * half**l))
-    return out
+        count = math.factorial(l) * math.comb(m, l) * math.comb(r, l)
+        yield (m - l, r - l), ExactScalar.from_int(count) * power
+        power = power * factor
+
+
+# Factor of the coefficient family for each (source, target) tag pair.
+_FACTORS = {
+    (Ordering.WEYL, Ordering.PQ): I_HALF,
+    (Ordering.WEYL, Ordering.QP): MINUS_I_HALF,
+    (Ordering.QP, Ordering.WEYL): I_HALF,
+    (Ordering.PQ, Ordering.WEYL): MINUS_I_HALF,
+    (Ordering.QP, Ordering.PQ): I,
+    (Ordering.PQ, Ordering.QP): MINUS_I,
+}
+
+
+def _monomial_image(
+    source: Ordering, target: Ordering, m: int, r: int
+) -> OrderedPolynomial:
+    factor = _FACTORS[source, target]
+    return OrderedPolynomial.from_terms(target, _conversion_terms(m, r, factor))
 
 
 def weyl_to_pq(m: int, r: int) -> OrderedPolynomial:
     """P-Q expansion of the symmetrized monomial Q^m P^r."""
-    return OrderedPolynomial.from_terms(
-        Ordering.PQ,
-        (
-            ((m - l, r - l), c)
-            for l, c in _conversion_coefficients(m, r, I_HALF)
-        ),
-    )
+    return _monomial_image(Ordering.WEYL, Ordering.PQ, m, r)
 
 
 def weyl_to_qp(m: int, r: int) -> OrderedPolynomial:
     """Q-P expansion of the symmetrized monomial Q^m P^r."""
-    return OrderedPolynomial.from_terms(
-        Ordering.QP,
-        (
-            ((m - l, r - l), c)
-            for l, c in _conversion_coefficients(m, r, MINUS_I_HALF)
-        ),
-    )
+    return _monomial_image(Ordering.WEYL, Ordering.QP, m, r)
 
 
 def qp_to_weyl(m: int, r: int) -> OrderedPolynomial:
     """Weyl-ordered expansion of the word Q^m P^r."""
-    return OrderedPolynomial.from_terms(
-        Ordering.WEYL,
-        (
-            ((m - l, r - l), c)
-            for l, c in _conversion_coefficients(m, r, I_HALF)
-        ),
-    )
+    return _monomial_image(Ordering.QP, Ordering.WEYL, m, r)
 
 
 def pq_to_weyl(m: int, r: int) -> OrderedPolynomial:
     """Weyl-ordered expansion of the word P^r Q^m."""
-    return OrderedPolynomial.from_terms(
-        Ordering.WEYL,
-        (
-            ((m - l, r - l), c)
-            for l, c in _conversion_coefficients(m, r, MINUS_I_HALF)
-        ),
-    )
+    return _monomial_image(Ordering.PQ, Ordering.WEYL, m, r)
+
+
+def qp_to_pq(m: int, r: int) -> OrderedPolynomial:
+    """P-Q expansion of the word Q^m P^r."""
+    return _monomial_image(Ordering.QP, Ordering.PQ, m, r)
+
+
+def pq_to_qp(m: int, r: int) -> OrderedPolynomial:
+    """Q-P expansion of the word P^r Q^m."""
+    return _monomial_image(Ordering.PQ, Ordering.QP, m, r)
 
 
 def _weyl_image_via_hermite(m: int, r: int, conjugated: bool) -> CommutativePoly2:
@@ -199,25 +215,6 @@ def _weyl_image_via_hermite(m: int, r: int, conjugated: bool) -> CommutativePoly
     return scaled.scale(prefactor)
 
 
-def qp_to_pq(m: int, r: int) -> OrderedPolynomial:
-    """P-Q expansion of the word Q^m P^r."""
-    return OrderedPolynomial.from_terms(
-        Ordering.PQ,
-        (((m - k, r - k), c) for k, c in _conversion_coefficients(m, r, I)),
-    )
-
-
-def pq_to_qp(m: int, r: int) -> OrderedPolynomial:
-    """Q-P expansion of the word P^r Q^m."""
-    return OrderedPolynomial.from_terms(
-        Ordering.QP,
-        (
-            ((m - k, r - k), c)
-            for k, c in _conversion_coefficients(m, r, MINUS_I)
-        ),
-    )
-
-
 def commutator_closed_form(m: int, r: int, variant: Ordering) -> OrderedPolynomial:
     """Closed form of [Q^m, P^r] in P-Q or Q-P ordering.
 
@@ -226,22 +223,12 @@ def commutator_closed_form(m: int, r: int, variant: Ordering) -> OrderedPolynomi
     the m = r = 1 case shows).
     """
     if variant is Ordering.PQ:
-        return OrderedPolynomial.from_terms(
-            Ordering.PQ,
-            (
-                ((m - k, r - k), c)
-                for k, c in _conversion_coefficients(m, r, I)
-                if k >= 1
-            ),
-        )
+        terms = islice(_conversion_terms(m, r, I), 1, None)
+        return OrderedPolynomial.from_terms(Ordering.PQ, terms)
     if variant is Ordering.QP:
+        terms = islice(_conversion_terms(m, r, MINUS_I), 1, None)
         return OrderedPolynomial.from_terms(
-            Ordering.QP,
-            (
-                ((m - k, r - k), -c)
-                for k, c in _conversion_coefficients(m, r, MINUS_I)
-                if k >= 1
-            ),
+            Ordering.QP, ((key, -c) for key, c in terms)
         )
     raise ValueError("commutator_closed_form takes the PQ or QP tag")
 
@@ -255,40 +242,27 @@ def p_plus_q_power(n: int, target: Ordering) -> OrderedPolynomial:
     """
     if n < 0:
         raise ValueError("power must be non-negative")
-    total = OrderedPolynomial.zero(target)
-    for l in range(n + 1):
-        coeff = ExactScalar.from_int(math.comb(n, l))
-        if target is Ordering.WEYL:
-            term = OrderedPolynomial.monomial(Ordering.WEYL, l, n - l)
-        elif target is Ordering.PQ:
-            term = weyl_to_pq(l, n - l)
-        elif target is Ordering.QP:
-            term = weyl_to_qp(l, n - l)
-        else:
-            raise ValueError(f"unknown target ordering {target!r}")
-        total = total + term.scale(coeff)
-    return total
-
-
-_MONOMIAL_MAPS = {
-    (Ordering.PQ, Ordering.QP): pq_to_qp,
-    (Ordering.PQ, Ordering.WEYL): pq_to_weyl,
-    (Ordering.QP, Ordering.PQ): qp_to_pq,
-    (Ordering.QP, Ordering.WEYL): qp_to_weyl,
-    (Ordering.WEYL, Ordering.PQ): weyl_to_pq,
-    (Ordering.WEYL, Ordering.QP): weyl_to_qp,
-}
+    if not isinstance(target, Ordering):
+        raise ValueError(f"unknown target ordering {target!r}")
+    binomial = (
+        ((l, n - l), ExactScalar.from_int(math.comb(n, l))) for l in range(n + 1)
+    )
+    return convert(OrderedPolynomial.from_terms(Ordering.WEYL, binomial), target)
 
 
 def convert(p: OrderedPolynomial, target: Ordering) -> OrderedPolynomial:
     """Linear extension of the monomial conversion maps."""
     if p.ordering is target:
         return p
-    monomial_map = _MONOMIAL_MAPS[(p.ordering, target)]
-    total = OrderedPolynomial.zero(target)
-    for mon, coeff in p.terms.items():
-        total = total + monomial_map(mon.m, mon.r).scale(coeff)
-    return total
+    factor = _FACTORS[p.ordering, target]
+    return OrderedPolynomial.from_terms(
+        target,
+        (
+            (key, c * coeff)
+            for mon, coeff in p.terms.items()
+            for key, c in _conversion_terms(mon.m, mon.r, factor)
+        ),
+    )
 
 
 def weyl_symmetrization(m: int, r: int) -> FreeExpression:

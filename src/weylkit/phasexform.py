@@ -28,11 +28,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exactnum import ExactScalar, I_HALF, MINUS_I
-from .ordering import CommutativePoly2, _conversion_coefficients
+from .ordering import MINUS_I_HALF, CommutativePoly2, _conversion_terms
 
 BOUNDARY_DECAY = 1e-10
 
-MINUS_I_HALF = -I_HALF
 MINUS_2I = MINUS_I * ExactScalar.from_int(2)
 
 
@@ -259,22 +258,16 @@ def monomial_forward(m: int, r: int) -> CommutativePoly2:
     test suite pins this against the literal scaled-Hermite expression
     and against the regularized numeric transform.
     """
-    return CommutativePoly2.from_terms(
-        ((m - l, r - l), c)
-        for l, c in _conversion_coefficients(m, r, I_HALF)
-    )
+    return CommutativePoly2.from_terms(_conversion_terms(m, r, I_HALF))
 
 
 def inverse_symbol(poly: CommutativePoly2) -> CommutativePoly2:
     """Linear extension of the inverse coefficient map on monomials."""
-    total = CommutativePoly2.zero()
-    for (m, r), coeff in poly.terms.items():
-        image = CommutativePoly2.from_terms(
-            ((m - l, r - l), c)
-            for l, c in _conversion_coefficients(m, r, MINUS_I_HALF)
-        )
-        total = total + image.scale(coeff)
-    return total
+    return CommutativePoly2.from_terms(
+        (key, c * coeff)
+        for (m, r), coeff in poly.terms.items()
+        for key, c in _conversion_terms(m, r, MINUS_I_HALF)
+    )
 
 
 def monomial_inverse(m: int, r: int) -> CommutativePoly2:

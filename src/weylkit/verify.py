@@ -9,6 +9,7 @@ against the stated tolerance.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ from .opalg import (
     P,
     ProductNode,
     Q,
+    _pq_monomial_expression,
+    _qp_monomial_expression,
     commutator,
     poly_equal,
     rewrite_to_pq,
@@ -81,14 +84,6 @@ def _numeric(name: str, error: float, tolerance: float, detail: str = "") -> Che
     )
 
 
-def _qp_word(m: int, r: int) -> ProductNode:
-    return ProductNode((Q,) * m + (P,) * r)
-
-
-def _pq_word(m: int, r: int) -> ProductNode:
-    return ProductNode((P,) * r + (Q,) * m)
-
-
 # ---------------------------------------------------------------------------
 # Symbolic suites
 # ---------------------------------------------------------------------------
@@ -103,11 +98,11 @@ def suite_orderings(max_degree: int = 6) -> list[CheckResult]:
     for m in span:
         for r in span:
             got = conv.qp_to_pq(m, r)
-            want = rewrite_to_pq(_qp_word(m, r))
+            want = rewrite_to_pq(_qp_monomial_expression(m, r))
             if got.terms != want.terms and worst_pq is None:
                 worst_pq = (m, r, got, want)
             got2 = conv.pq_to_qp(m, r)
-            want2 = rewrite_to_qp(_pq_word(m, r))
+            want2 = rewrite_to_qp(_pq_monomial_expression(m, r))
             if got2.terms != want2.terms and worst_qp is None:
                 worst_qp = (m, r, got2, want2)
     checks.append(
@@ -157,11 +152,11 @@ def suite_orderings(max_degree: int = 6) -> list[CheckResult]:
         for r in span:
             # Weyl image of the ordered words, checked through rewriting.
             via = conv.convert(conv.qp_to_weyl(m, r), Ordering.PQ)
-            if via.terms != rewrite_to_pq(_qp_word(m, r)).terms:
+            if via.terms != rewrite_to_pq(_qp_monomial_expression(m, r)).terms:
                 bad_weyl = ("qp_to_weyl", m, r)
                 break
             via2 = conv.convert(conv.pq_to_weyl(m, r), Ordering.QP)
-            if via2.terms != rewrite_to_qp(_pq_word(m, r)).terms:
+            if via2.terms != rewrite_to_qp(_pq_monomial_expression(m, r)).terms:
                 bad_weyl = ("pq_to_weyl", m, r)
                 break
         if bad_weyl:
@@ -553,14 +548,15 @@ SUITES = {
 def run_suite(
     name: str, max_degree: int | None = None, dim: int = 64
 ) -> list[CheckResult]:
-    if name == "orderings":
-        return suite_orderings(6 if max_degree is None else max_degree)
-    if name == "commutators":
-        return suite_commutators(6 if max_degree is None else max_degree)
-    if name == "hermite":
-        return suite_hermite(8 if max_degree is None else max_degree)
-    if name == "wigner":
-        return suite_wigner(dim)
-    if name == "transform":
-        return suite_transform()
-    raise ValueError(f"unknown suite {name!r}")
+    """Run one suite, passing only the options its signature takes.
+
+    An option left at None keeps the suite's own default.
+    """
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    suite = SUITES[name]
+    options = {"max_degree": max_degree, "dim": dim}
+    params = inspect.signature(suite).parameters
+    return suite(
+        **{k: v for k, v in options.items() if k in params and v is not None}
+    )

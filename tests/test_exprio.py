@@ -1,6 +1,7 @@
 import json
 import random
 import string
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +183,52 @@ def test_parser_never_panics(text):
         parse(text)
     except ParseError:
         pass
+
+
+def _block_factors(rng, m, r, coeff):
+    """Factors of coeff * Q^m * P^r, powered, repeated and shuffled."""
+    factors = [str(coeff) if coeff.denominator > 1 else str(coeff.numerator)]
+    if m and r and rng.random() < 0.4:
+        k = rng.randint(1, min(m, r))
+        factors.append(rng.choice(("(Q*P)^{}", "(P*Q)^{}")).format(k))
+        m, r = m - k, r - k
+    for name, count in (("Q", m), ("P", r)):
+        while count:
+            k = rng.randint(1, count)
+            factors.append(name if k == 1 else f"{name}^{k}")
+            count -= k
+    if rng.random() < 0.2:
+        factors.append(rng.choice(("Q^0", "P^0")))
+    rng.shuffle(factors)
+    return "*".join(factors)
+
+
+def test_block_terms_sum_like_fractions():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        drawn = []
+        for _ in range(rng.randint(1, 8)):
+            m, r = rng.randint(0, 4), rng.randint(0, 4)
+            coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            drawn.append((m, r, coeff))
+            if rng.random() < 0.3:
+                drawn.append((m, r, -coeff))
+            elif rng.random() < 0.3:
+                drawn.append((m, r, Fraction(rng.randint(-6, 6), 2)))
+        rng.shuffle(drawn)
+        expected = {}
+        body = ""
+        for index, (m, r, coeff) in enumerate(drawn):
+            expected[(m, r)] = expected.get((m, r), 0) + coeff
+            sign = "-" if coeff < 0 else ("+" if index else "")
+            body += f" {sign} {_block_factors(rng, m, r, abs(coeff))}"
+        expected = {key: c for key, c in expected.items() if c}
+        tag = rng.choice(("pq", "qp", "weyl"))
+        poly = parse(f"{tag}{{{body}}}")
+        assert poly.ordering.value == tag
+        assert {tuple(k): c for k, c in poly.terms.items()} == {
+            key: ExactScalar(c) for key, c in expected.items()
+        }, body
 
 
 def test_parser_fuzz_seeded_corpus():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit.exactnum import ExactScalar, I, MINUS_I, ONE
 from weylkit.opalg import (
@@ -10,6 +12,7 @@ from weylkit.opalg import (
     poly_equal,
     rewrite_to_pq,
     rewrite_to_qp,
+    to_expression,
 )
 from weylkit import ordering as conv
 
@@ -192,3 +195,43 @@ def test_adjoint_hermiticity_property():
         for r in range(6):
             adj = conv.qp_to_pq(m, r).adjoint()
             assert adj.terms == conv.pq_to_qp(m, r).terms
+
+
+_COEFFS = (ONE, -ONE, TWO, I, MINUS_I, I_HALF, ExactScalar.rational(-3, 4))
+
+
+@st.composite
+def word_polynomials(draw):
+    """PQ- or QP-tagged sums of up to 12 terms, m, r <= 5.
+
+    Some terms are followed by their negation, so coefficients cancel
+    while the polynomial is built.
+    """
+    tag = draw(st.sampled_from((Ordering.PQ, Ordering.QP)))
+    drawn = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.integers(0, 5),
+                st.sampled_from(_COEFFS),
+                st.booleans(),
+            ),
+            max_size=12,
+        )
+    )
+    terms = []
+    for m, r, coeff, cancel in drawn:
+        terms.append(((m, r), coeff))
+        if cancel:
+            terms.append(((m, r), -coeff))
+    return OrderedPolynomial.from_terms(tag, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_polynomials())
+def test_convert_word_polynomials_matches_rewriting(p):
+    if p.ordering is Ordering.PQ:
+        target, rewrite = Ordering.QP, rewrite_to_qp
+    else:
+        target, rewrite = Ordering.PQ, rewrite_to_pq
+    assert conv.convert(p, target).terms == rewrite(to_expression(p)).terms
