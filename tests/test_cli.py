@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -182,3 +186,18 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["convert", "Q", "--to", "nope"])
     assert exc.value.code == 2
+
+
+def test_cold_import_loads_no_scipy():
+    import weylkit
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(weylkit.__file__).resolve().parents[1])
+    probe = (
+        "import sys, weylkit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

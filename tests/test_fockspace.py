@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre
 
 from weylkit import fockspace as fs
 from weylkit import ordering as conv
@@ -80,6 +81,70 @@ def test_displacement_matches_scaling_and_squaring():
         spectral = fs.displacement(alpha, 48)
         direct = expm(alpha * adag.data - np.conj(alpha) * a.data)
         assert np.abs(spectral - direct).max() < 1e-12
+
+
+def _reference_kernel_blocks(qs, ps, block):
+    # The entry-by-entry Laguerre closed form, one library call per entry:
+    # (1/pi) (-1)^k sqrt(k!/j!) b^(j-k) e^{-|b|^2/2} L_k^(j-k)(|b|^2).
+    beta = math.sqrt(2.0) * (np.asarray(qs) + 1j * np.asarray(ps))
+    absq = np.abs(beta) ** 2
+    damp = np.exp(-0.5 * absq)
+    out = np.empty((len(beta), block, block), dtype=complex)
+    for j in range(block):
+        for k in range(j + 1):
+            ratio = math.exp(0.5 * (math.lgamma(k + 1.0) - math.lgamma(j + 1.0)))
+            val = ratio * beta ** (j - k) * damp * eval_genlaguerre(k, j - k, absq)
+            sign = -1.0 if k % 2 else 1.0
+            out[:, j, k] = sign * val
+            out[:, k, j] = sign * np.conj(val)
+    return out / math.pi
+
+
+def _trust_disc_points(block, count, rng):
+    # Points with |alpha|^2 <= block/8, a quarter of them on the edge.
+    radius = math.sqrt(block / 8.0) * np.sqrt(rng.random(count))
+    radius[: count // 4] = math.sqrt(block / 8.0)
+    angle = rng.uniform(0.0, 2.0 * math.pi, count)
+    alpha = radius * np.exp(1j * angle)
+    return math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
+
+
+@pytest.mark.parametrize("block", [1, 2, 8, 64, 128])
+def test_kernel_blocks_match_laguerre_reference(block):
+    qs, ps = _trust_disc_points(block, 40, np.random.default_rng(block))
+    got = fs._kernel_blocks(qs, ps, block)
+    assert np.abs(got - _reference_kernel_blocks(qs, ps, block)).max() < 1e-12
+
+
+def test_kernel_blocks_at_marginal_scale_points():
+    rng = np.random.default_rng(11)
+    qs = np.concatenate([[4.0, -4.0, 4.0, 0.0], rng.uniform(-4.0, 4.0, 20)])
+    ps = np.concatenate([[12.0, -12.0, 0.0, 12.0], rng.uniform(-12.0, 12.0, 20)])
+    got = fs._kernel_blocks(qs, ps, 128)
+    assert np.isfinite(got).all()
+    assert np.abs(got - _reference_kernel_blocks(qs, ps, 128)).max() < 1e-12
+
+
+def test_wigner_function_matches_reference_across_chunks():
+    dim = 128
+    rng = np.random.default_rng(5)
+    mix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = mix @ mix.conj().T
+    rho /= np.trace(rho)
+    # |q|, |p| <= 4 keeps every point inside the trust disc of dim 128.
+    axis = np.linspace(-4.0, 4.0, 65)
+    assert len(axis) ** 2 > fs._WIGNER_CHUNK
+    got = fs.wigner_function(rho, axis, axis).ravel()
+    qg, pg = np.meshgrid(axis, axis, indexing="ij")
+    seam = fs._WIGNER_CHUNK
+    picks = np.unique(np.concatenate([
+        [0, len(got) - 1],
+        np.arange(seam - 3, seam + 3),
+        rng.choice(len(got), 40, replace=False),
+    ]))
+    blocks = _reference_kernel_blocks(qg.ravel()[picks], pg.ravel()[picks], dim)
+    want = np.einsum("kj,njk->n", rho, blocks)
+    assert np.abs(got[picks] - want).max() < 1e-12
 
 
 def test_wigner_operator_at_origin_is_parity():
@@ -175,6 +240,13 @@ def test_wigner_function_validates_state():
     unnormalized = np.eye(8, dtype=complex)
     with pytest.raises(ValueError):
         fs.wigner_function(unnormalized, np.array([0.0]), np.array([0.0]))
+    rho = np.zeros((8, 8), dtype=complex)
+    rho[0, 0] = 1.0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            fs.wigner_function(rho, [bad, 0.0], [0.0])
+        with pytest.raises(ValueError):
+            fs.wigner_function(rho, [0.0], [0.0, bad])
 
 
 def test_wigner_function_quick_normalization():
@@ -201,6 +273,11 @@ def test_marginal_check_guards():
         fs.marginal_check("x", 0.0, 16)
     with pytest.raises(ValueError):
         fs.marginal_check("q", 5.0, 16)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            fs.marginal_check("q", bad, 16)
+        with pytest.raises(ValueError):
+            fs.marginal_check("p", bad, 16)
 
 
 def test_hermite_functions_match_explicit_forms():
