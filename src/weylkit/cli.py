@@ -225,6 +225,8 @@ def cmd_transform(args) -> int:
             else phasexform.forward_transform(field)
         )
         payload["reliable"] = result.reliable
+        payload["boundary_max"] = field.boundary_max()
+        payload["boundary_decay"] = phasexform.BOUNDARY_DECAY
         if args.out is not None:
             try:
                 result.to_csv(args.out)

@@ -162,12 +162,30 @@ def test_transform_round_trip_via_files(capsys, tmp_path):
     assert np.abs((recovered.values - gauss)[central, central]).max() < 1e-5
 
 
-def test_transform_json_schema(capsys, schema):
+def test_transform_json_schema(capsys, schema, tmp_path):
     code, doc = run_json(
         capsys, schema, "transform", "--gaussian", "--parseval", "--json"
     )
     assert code == 0
     assert abs(doc["payload"]["parseval"]["lhs"] - 0.5) < 1e-5
+    code, doc = run_json(capsys, schema, "transform", "--gaussian", "--json")
+    assert code == 0
+    payload = doc["payload"]
+    assert payload["reliable"] is True
+    assert payload["boundary_decay"] == phasexform.BOUNDARY_DECAY
+    assert 0.0 <= payload["boundary_max"] < payload["boundary_decay"]
+    flat = phasexform.SampledField(
+        -1.0, 1.0, -1.0, 1.0, np.full((4, 3), 0.5 - 0.5j)
+    )
+    path = tmp_path / "flat.csv"
+    flat.to_csv(path)
+    with pytest.warns(phasexform.GridDomainWarning):
+        code, doc = run_json(capsys, schema, "transform", "--input", str(path), "--json")
+    assert code == 0
+    payload = doc["payload"]
+    assert payload["reliable"] is False
+    assert payload["boundary_max"] == pytest.approx(abs(0.5 - 0.5j))
+    assert payload["boundary_max"] >= payload["boundary_decay"]
 
 
 def test_transform_input_validation(capsys, tmp_path):
@@ -180,6 +198,15 @@ def test_transform_input_validation(capsys, tmp_path):
     code, _, err = run(capsys, "transform", "--input", str(empty))
     assert code == 2
     assert "cannot read input grid" in err
+    # A header declaring 10^12 cells over one value line is refused at
+    # line 1, without allocating the grid the header asks for.
+    oversized = tmp_path / "oversized.csv"
+    oversized.write_text("0,1,0,1,1000000,1000000\n0,0\n")
+    out = tmp_path / "out.csv"
+    code, _, err = run(capsys, "transform", "--input", str(oversized), "--out", str(out))
+    assert code == 2
+    assert "cannot read input grid: line 1:" in err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():

@@ -1,5 +1,9 @@
 import math
+import os
+import threading
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +23,66 @@ def gaussian_field(**kwargs):
 def exact_gaussian_image(field):
     qg, pg = np.meshgrid(field.q_axis, field.p_axis, indexing="ij")
     return np.exp(-(qg**2 + pg**2) / 2.0 + 1j * pg * qg) / math.sqrt(2.0)
+
+
+def _reference_chirp_transform(h, sign):
+    """The dense O(n^3) route: chirp pre/post-multipliers around two
+    plane-wave matrix products, straight from the kernel expansion
+    e^{2i(p-p')(q-q')} = e^{2ipq} e^{-2ipq'} e^{-2ip'q} e^{2ip'q'}."""
+    q = h.q_axis
+    p = h.p_axis
+    s = 2j * sign
+    chirp_in = np.exp(s * np.outer(q, p))            # e^{s i q' p'}
+    plane_p = np.exp(-s * np.outer(p, q))            # e^{-s i p' q}, (np, nq)
+    plane_q = np.exp(-s * np.outer(q, p))            # e^{-s i q' p}, (nq, np)
+    inner = (h.values * chirp_in) @ plane_p          # sum over p'
+    outer = inner.T @ plane_q                        # sum over q'
+    return (h.dq * h.dp / np.pi) * np.exp(s * np.outer(q, p)) * outer
+
+
+def _textured_field(q_min, q_max, p_min, p_max, nq, np_, width, seed):
+    """A seeded complex field: white noise about an off-centre Gaussian,
+    so every frequency and both axes carry weight, with |values| of
+    order one."""
+    shell = px.SampledField(q_min, q_max, p_min, p_max, np.zeros((nq, np_), complex))
+    qg, pg = np.meshgrid(shell.q_axis, shell.p_axis, indexing="ij")
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((nq, np_)) + 1j * rng.standard_normal((nq, np_))
+    envelope = np.exp(-((qg - 0.7) ** 2 + (pg + 0.4) ** 2) / width**2)
+    return replace(shell, values=envelope * (1.0 + 0.3 * noise))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "inverse"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        (-8.0, 8.0, -8.0, 8.0, 64, 64, 2.0),
+        (-8.0, 8.0, -8.0, 8.0, 400, 400, 2.0),
+        (-6.0, 9.0, -7.0, 5.0, 37, 64, 2.0),
+        (-6.0, 9.0, -7.0, 5.0, 64, 37, 2.0),
+        (-8.0, 8.0, -9.0, 7.0, 400, 401, 2.0),
+        (-1.0, 1.5, -2.0, 1.0, 2, 3, 1.0),
+        (-1.0, 1.5, -2.0, 1.0, 3, 2, 1.0),
+    ],
+    ids=["64sq", "400sq", "37x64", "64x37", "400x401", "2x3", "3x2"],
+)
+def test_chirp_transform_matches_dense_reference(grid, sign):
+    field = _textured_field(*grid, seed=sum(grid[4:6]))
+    got = px._chirp_transform(field, sign)
+    assert got.values.shape == field.values.shape
+    want = _reference_chirp_transform(field, sign)
+    assert np.abs(got.values - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "inverse"])
+def test_chirp_transform_matches_dense_reference_on_wide_grid(sign):
+    # The 1600^2 grid of half-width 40 the regularized-monomial test
+    # uses, with its weakest regularization of the constant monomial.
+    shell = px.SampledField(-40.0, 40.0, -40.0, 40.0, np.zeros((1600, 1600), complex))
+    qg, pg = np.meshgrid(shell.q_axis, shell.p_axis, indexing="ij")
+    field = replace(shell, values=np.exp(-0.005 * (qg**2 + pg**2)))
+    got = px._chirp_transform(field, sign).values
+    assert np.abs(got - _reference_chirp_transform(field, sign)).max() < 1e-12
 
 
 def test_forward_gaussian_pointwise():
@@ -96,6 +160,12 @@ def test_boundary_decay_warning():
     flat = px.SampledField.from_function(lambda qg, pg: np.ones_like(qg))
     with pytest.warns(px.GridDomainWarning):
         out = px.forward_transform(flat)
+    assert not out.reliable
+    field = gaussian_field(nq=8, np_=8)
+    values = field.values.copy()
+    values[0, 3] = np.nan
+    with pytest.warns(px.GridDomainWarning):
+        out = px.forward_transform(replace(field, values=values))
     assert not out.reliable
 
 
@@ -222,6 +292,54 @@ def test_csv_diagnostics(tmp_path):
     path.write_text("0.0,1.0,0.0,1.0,2,2\n1,0\n2,0\n3,0\nnope\n")
     with pytest.raises(ValueError, match="line 5"):
         px.SampledField.from_csv(path)
+    path.write_text("0,1,0,1,2,2\n0,0\nnan,0\n0,0\n0,0\n")
+    with pytest.raises(ValueError, match="line 3: non-finite cell"):
+        px.SampledField.from_csv(path)
+    # Finite parts whose magnitude overflows to inf.
+    path.write_text("0,1,0,1,2,2\n0,0\n0,0\n0,0\n1.5e308,1.5e308\n")
+    with pytest.raises(ValueError, match="line 5: non-finite cell"):
+        px.SampledField.from_csv(path)
+
+
+def test_csv_header_cannot_force_allocation(tmp_path):
+    # 2000x2000 complex cells would be 64 MB; only the one value line
+    # the file holds is ever stored.
+    path = tmp_path / "oversized.csv"
+    path.write_text("0,1,0,1,2000,2000\n0,0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="line 1: header declares 2000x2000"):
+            px.SampledField.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("0,1,0,1,2,2\n1,0\n2,0\n3,0\n4,-1\n", None),
+        ("0,1,0,1,2000,2000\n0,0\n", "line 1: header declares 2000x2000"),
+    ],
+    ids=["grid", "oversized"],
+)
+def test_csv_from_pipe(tmp_path, text, error):
+    # A pipe has no size to bound the header by, so its text is read
+    # first; a valid grid still loads.
+    path = tmp_path / "grid.pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    if error is None:
+        field = px.SampledField.from_csv(path)
+        assert field.values.ravel().tolist() == [1, 2, 3, 4 - 1j]
+    else:
+        with pytest.raises(ValueError, match=error):
+            px.SampledField.from_csv(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_json_round_trip():
