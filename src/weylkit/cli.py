@@ -21,6 +21,9 @@ from .opalg import (
     Ordering,
     OrderedPolynomial,
     PowerNode,
+    ProductNode,
+    SumNode,
+    SymbolNode,
     UnsupportedSymbolError,
     rewrite_to_pq,
     to_expression,
@@ -31,6 +34,63 @@ OK, MISMATCH, USAGE = 0, 1, 2
 _TAGS = {"pq": Ordering.PQ, "qp": Ordering.QP, "weyl": Ordering.WEYL}
 MAX_DEGREE_GUARD = 8
 MAX_DIM_GUARD = 128
+# Bounds on a bare expression before the rewriting oracle expands it.
+# Rewriting one word of n symbols costs about 4e-7 * n**3 s (2-core
+# x86-64, Python 3.11) for n = 8..160, growing faster above that:
+# Q^64*P^64 takes 1.4 s and Q^80*P^80 3.0 s.  So the estimate
+# words * longest**3 is capped at 2**22 (about 2 s), and the longest
+# word at 128 symbols.
+MAX_WORD_SYMBOLS = 128
+MAX_EXPANSION_WORK = 2**22
+
+
+class ExpansionTooLargeError(ValueError):
+    """A bare expression whose expansion exceeds the rewriting bounds."""
+
+
+def _expansion_size(e: FreeExpression) -> tuple[int, int]:
+    """(words, longest) of e's expansion into words, without expanding it.
+
+    ``words`` counts products of summands, repeats included; ``longest``
+    counts the symbols of the longest word, and a power counts at least
+    one per multiplication it makes, so powers of scalars are bounded
+    too.  Both saturate just above their caps, so nested powers stay
+    small integers.
+    """
+    if isinstance(e, SumNode):
+        sizes = [_expansion_size(child) for child in e.children]
+        words = sum(w for w, _ in sizes)
+        longest = max(n for _, n in sizes)
+    elif isinstance(e, ProductNode):
+        words, longest = 1, 0
+        for child in e.children:
+            w, n = _expansion_size(child)
+            words = min(words * w, MAX_EXPANSION_WORK + 1)
+            longest += n
+    elif isinstance(e, PowerNode):
+        w, n = _expansion_size(e.base)
+        # Past the cap's bit length any base of 2 or more saturates.
+        words = w ** min(e.exponent, MAX_EXPANSION_WORK.bit_length())
+        longest = max(n, 1) * e.exponent
+    elif isinstance(e, SymbolNode):
+        return 1, 1
+    else:  # a scalar
+        return 1, 0
+    return min(words, MAX_EXPANSION_WORK + 1), min(longest, MAX_WORD_SYMBOLS + 1)
+
+
+_EXPANSION_BOUNDS = (
+    f"a bare expression's expansion may have at most {MAX_WORD_SYMBOLS} "
+    f"symbols per word and words * symbols^3 <= {MAX_EXPANSION_WORK}"
+)
+
+
+def _check_expansion(e: FreeExpression) -> None:
+    words, longest = _expansion_size(e)
+    if longest > MAX_WORD_SYMBOLS or words * longest**3 > MAX_EXPANSION_WORK:
+        raise ExpansionTooLargeError(
+            "expression too large to rewrite: " + _EXPANSION_BOUNDS
+        )
 
 
 def _emit(outcome: dict, as_json: bool, text: str) -> None:
@@ -67,6 +127,7 @@ def _to_polynomial(
 ) -> OrderedPolynomial:
     if isinstance(value, OrderedPolynomial):
         return conv.convert(value, target)
+    _check_expansion(value)
     canonical = rewrite_to_pq(value)
     return conv.convert(canonical, target)
 
@@ -95,7 +156,7 @@ def cmd_convert(args) -> int:
         poly = _to_polynomial(exprio.parse(args.expr), _TAGS[args.to])
     except exprio.ParseError as exc:
         return _print_error(exc.pretty(args.expr), as_json, exc.span)
-    except UnsupportedSymbolError as exc:
+    except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
         return _print_error(str(exc), as_json)
     outcome = _polynomial_outcome(poly)
     _emit(outcome, as_json, outcome["payload"]["text"])
@@ -107,13 +168,13 @@ def cmd_commutator(args) -> int:
     try:
         left_expr = _as_words(exprio.parse(args.left))
         right_expr = _as_words(exprio.parse(args.right))
-        bracket = rewrite_to_pq(
-            left_expr * right_expr - right_expr * left_expr
-        )
+        difference = left_expr * right_expr - right_expr * left_expr
+        _check_expansion(difference)
+        bracket = rewrite_to_pq(difference)
     except exprio.ParseError as exc:
         source = args.left if exc.span[1] <= len(args.left) else args.right
         return _print_error(exc.pretty(source), as_json, exc.span)
-    except UnsupportedSymbolError as exc:
+    except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
         return _print_error(str(exc), as_json)
     outcome = _polynomial_outcome(bracket)
     _emit(outcome, as_json, outcome["payload"]["text"])
@@ -129,7 +190,7 @@ def cmd_expand(args) -> int:
         poly = _to_polynomial(PowerNode(base, args.power), _TAGS[args.to])
     except exprio.ParseError as exc:
         return _print_error(exc.pretty(args.expr), as_json, exc.span)
-    except UnsupportedSymbolError as exc:
+    except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
         return _print_error(str(exc), as_json)
     outcome = _polynomial_outcome(poly)
     _emit(outcome, as_json, outcome["payload"]["text"])
@@ -213,17 +274,29 @@ def cmd_transform(args) -> int:
         }
     }
     lines: list[str] = []
+    # Cells near the float limit overflow the quadrature; the results are
+    # checked and refused below, so numpy's overflow warnings are not shown.
+    overflow = (
+        "the transform overflows on this input: its cells are too large "
+        "for double precision"
+    )
     if args.parseval:
-        lhs, rhs = phasexform.parseval_check(field)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs, rhs = phasexform.parseval_check(field)
+        if not (np.isfinite(lhs) and np.isfinite(rhs)):
+            return _print_error(overflow, as_json)
         payload["parseval"] = {"lhs": lhs, "rhs": rhs}
         lines.append(f"{lhs:.10f}")
         lines.append(f"{rhs:.10f}")
     if args.out is not None or not args.parseval:
-        result = (
-            phasexform.inverse_transform(field)
-            if args.inverse
-            else phasexform.forward_transform(field)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = (
+                phasexform.inverse_transform(field)
+                if args.inverse
+                else phasexform.forward_transform(field)
+            )
+        if not np.isfinite(result.values).all():
+            return _print_error(overflow, as_json)
         payload["reliable"] = result.reliable
         payload["boundary_max"] = field.boundary_max()
         payload["boundary_decay"] = phasexform.BOUNDARY_DECAY
@@ -244,28 +317,39 @@ def cmd_transform(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    bounds = (
+        "convert, commutator and expand exit 2 on inputs beyond these "
+        f"bounds: {_EXPANSION_BOUNDS}."
+    )
     parser = argparse.ArgumentParser(
         prog="weylkit",
         description="Operator ordering conversions with built-in verification.",
+        epilog=bounds,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_convert = sub.add_parser(
-        "convert", help="convert an operator expression between orderings"
+        "convert",
+        help="convert an operator expression between orderings",
+        epilog=bounds,
     )
     p_convert.add_argument("expr", help="expression, e.g. 'Q*P' or 'weyl{Q^2*P}'")
     p_convert.add_argument("--to", required=True, choices=sorted(_TAGS))
     p_convert.add_argument("--format", choices=["text", "json"], default="text")
     p_convert.set_defaults(func=cmd_convert)
 
-    p_comm = sub.add_parser("commutator", help="compute [x, y] in P-Q ordering")
+    p_comm = sub.add_parser(
+        "commutator", help="compute [x, y] in P-Q ordering", epilog=bounds
+    )
     p_comm.add_argument("left")
     p_comm.add_argument("right")
     p_comm.add_argument("--format", choices=["text", "json"], default="text")
     p_comm.set_defaults(func=cmd_commutator)
 
     p_expand = sub.add_parser(
-        "expand", help="raise an expression to a power and convert"
+        "expand",
+        help="raise an expression to a power and convert",
+        epilog=bounds,
     )
     p_expand.add_argument("expr")
     p_expand.add_argument("--power", type=int, required=True)

@@ -10,6 +10,11 @@ as four reduced rationals (ra, ia, rb, ib) meaning
 which is a unique representation because {1, i, sqrt2, i*sqrt2} are
 linearly independent over Q.  All operations are pure and values are
 immutable, so they are safe to share between threads.
+
+The ring operations run on Python integers: each operand is read as four
+integer numerators over one common denominator (the lcm of its four), so
+a product is 16 integer products over one denominator, and each nonzero
+result component is reduced once, by a single ``Fraction(n, den)``.
 """
 
 from __future__ import annotations
@@ -50,17 +55,10 @@ class ExactScalar:
     def rational(cls, num: int, den: int = 1) -> ExactScalar:
         return cls(Fraction(num, den))
 
-    @classmethod
-    def from_complex_parts(cls, re: Fraction, im: Fraction) -> ExactScalar:
-        return cls(Fraction(re), Fraction(im))
-
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
         return not (self.ra or self.ia or self.rb or self.ib)
-
-    def is_rational(self) -> bool:
-        return not (self.ia or self.rb or self.ib)
 
     # -- ring operations ---------------------------------------------
 
@@ -68,12 +66,7 @@ class ExactScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return ExactScalar(
-            self.ra + other.ra,
-            self.ia + other.ia,
-            self.rb + other.rb,
-            self.ib + other.ib,
-        )
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
@@ -84,35 +77,28 @@ class ExactScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other: ExactScalar | int) -> ExactScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _combine(other, self, -1)
 
     def __mul__(self, other: ExactScalar | int) -> ExactScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        # (A + B*sqrt2)(C + D*sqrt2) = (AC + 2BD) + (AD + BC)*sqrt2
-        # with A, B, C, D Gaussian rationals.
-        a_re, a_im, b_re, b_im = self.ra, self.ia, self.rb, self.ib
-        c_re, c_im, d_re, d_im = other.ra, other.ia, other.rb, other.ib
-        ac_re = a_re * c_re - a_im * c_im
-        ac_im = a_re * c_im + a_im * c_re
-        bd_re = b_re * d_re - b_im * d_im
-        bd_im = b_re * d_im + b_im * d_re
-        ad_re = a_re * d_re - a_im * d_im
-        ad_im = a_re * d_im + a_im * d_re
-        bc_re = b_re * c_re - b_im * c_im
-        bc_im = b_re * c_im + b_im * c_re
-        return ExactScalar(
-            ac_re + 2 * bd_re,
-            ac_im + 2 * bd_im,
-            ad_re + bc_re,
-            ad_im + bc_im,
+        # ((a + b*i) + (c + d*i)*sqrt2) * ((e + f*i) + (g + h*i)*sqrt2),
+        # numerators over den1 and den2 respectively.
+        a, b, c, d, den1 = _numerators(self)
+        e, f, g, h, den2 = _numerators(other)
+        return _from_numerators(
+            a * e - b * f + 2 * (c * g - d * h),
+            a * f + b * e + 2 * (c * h + d * g),
+            a * g - b * h + c * e - d * f,
+            a * h + b * g + c * f + d * e,
+            den1 * den2,
         )
 
     __rmul__ = __mul__
@@ -188,6 +174,45 @@ class ExactScalar:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _numerators(x: ExactScalar) -> tuple[int, int, int, int, int]:
+    """x's components as integer numerators over the lcm of their denominators."""
+    ra, ia, rb, ib = x.ra, x.ia, x.rb, x.ib
+    d0, d1, d2, d3 = ra.denominator, ia.denominator, rb.denominator, ib.denominator
+    den = math.lcm(d0, d1, d2, d3)
+    return (
+        ra.numerator * (den // d0),
+        ia.numerator * (den // d1),
+        rb.numerator * (den // d2),
+        ib.numerator * (den // d3),
+        den,
+    )
+
+
+def _from_numerators(n0: int, n1: int, n2: int, n3: int, den: int) -> ExactScalar:
+    """The scalar (n0 + n1*i + (n2 + n3*i)*sqrt2) / den, reduced componentwise."""
+    return ExactScalar(
+        Fraction(n0, den) if n0 else _ZERO,
+        Fraction(n1, den) if n1 else _ZERO,
+        Fraction(n2, den) if n2 else _ZERO,
+        Fraction(n3, den) if n3 else _ZERO,
+    )
+
+
+def _combine(x: ExactScalar, y: ExactScalar, sign: int) -> ExactScalar:
+    """x + sign*y for sign in {1, -1}."""
+    a, b, c, d, den1 = _numerators(x)
+    e, f, g, h, den2 = _numerators(y)
+    if den1 != den2:
+        den = math.lcm(den1, den2)
+        s1, s2 = den // den1, den // den2
+        a, b, c, d = a * s1, b * s1, c * s1, d * s1
+        e, f, g, h = e * s2, f * s2, g * s2, h * s2
+        den1 = den
+    return _from_numerators(
+        a + sign * e, b + sign * f, c + sign * g, d + sign * h, den1
+    )
 
 
 def _coerce(value: ExactScalar | int) -> ExactScalar | None:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from weylkit import cli, phasexform
+from weylkit import cli, exprio, phasexform
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,39 @@ def test_expand_power_two(capsys):
     )
     assert code == 0
     assert out.strip() == "Q^2 + 2*P*Q + P^2 + i"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "P+Q", "--power", "30", "--to", "pq"),
+        ("convert", "Q^400*P^400", "--to", "pq"),
+        ("commutator", "(P+Q)^20", "(P-Q)^20"),
+        ("convert", "1^1000000000", "--to", "pq"),
+        ("convert", "((P+Q)^1000)^1000", "--to", "weyl"),
+    ],
+)
+def test_oversized_bare_expressions_exit_2_promptly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert "expression too large to rewrite" in err
+    assert str(cli.MAX_EXPANSION_WORK) in err
+
+
+def test_expansion_bounds_accept_their_edges(capsys):
+    # (P+Q)^11 is 2048 words of 11 symbols; Q^64*P^64 one word of 128.
+    assert cli._expansion_size(exprio.parse("(P+Q)^11")) == (2048, 11)
+    assert cli._expansion_size(exprio.parse("2*Q^64*P^64")) == (1, 128)
+    assert cli._expansion_size(exprio.parse("Q*P - P*Q")) == (2, 2)
+    code, out, _ = run(capsys, "convert", "Q^2*P^2*(P+Q)^3", "--to", "weyl")
+    assert code == 0 and out.strip()
+    code, _, err = run(capsys, "expand", "P+Q", "--power", "12", "--to", "pq")
+    assert code == 2 and "too large" in err
+    help_text = cli.build_parser().format_help()
+    assert str(cli.MAX_WORD_SYMBOLS) in help_text
+    assert str(cli.MAX_EXPANSION_WORK) in help_text
 
 
 def test_verify_orderings_passes(capsys):
@@ -207,6 +241,25 @@ def test_transform_input_validation(capsys, tmp_path):
     assert code == 2
     assert "cannot read input grid: line 1:" in err
     assert not out.exists()
+    # A finite cell near the float limit overflows the quadrature: the
+    # transform and both Parseval sides are refused, never written as
+    # nan/inf or printed as NaN/Infinity.
+    huge = tmp_path / "huge.csv"
+    huge.write_text("0,1,0,1,2,2\n1e308,1e308\n0,0\n0,0\n0,0\n")
+    code, stdout, _ = run(
+        capsys, "transform", "--input", str(huge), "--out", str(out), "--json"
+    )
+    assert code == 2
+    assert "overflows" in json.loads(stdout)["payload"]["message"]
+    assert not out.exists()
+    code, stdout, err = run(capsys, "transform", "--input", str(huge), "--parseval")
+    assert code == 2 and not stdout
+    assert "overflows" in err
+    code, stdout, _ = run(
+        capsys, "transform", "--input", str(huge), "--parseval", "--json"
+    )
+    assert code == 2
+    assert "NaN" not in stdout and "Infinity" not in stdout
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -99,3 +100,122 @@ def test_render_canonical_forms():
     assert (ExactScalar.rational(1, 2) * SQRT2).render() == "1/2*r2"
     assert (I * SQRT2).render() == "i*r2"
     assert (ONE + I).invert().render() == "1/2 + -1/2*i"
+
+
+# -- reference arithmetic ---------------------------------------------
+#
+# The componentwise Fraction arithmetic that ExactScalar's integer
+# numerators replace, kept as the reference the ring operations must
+# reproduce exactly.
+
+
+def _reference_add(x: ExactScalar, y: ExactScalar) -> ExactScalar:
+    return ExactScalar(x.ra + y.ra, x.ia + y.ia, x.rb + y.rb, x.ib + y.ib)
+
+
+def _reference_mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
+    # (A + B*sqrt2)(C + D*sqrt2) = (AC + 2BD) + (AD + BC)*sqrt2
+    # with A, B, C, D Gaussian rationals.
+    a_re, a_im, b_re, b_im = x.ra, x.ia, x.rb, x.ib
+    c_re, c_im, d_re, d_im = y.ra, y.ia, y.rb, y.ib
+    ac_re = a_re * c_re - a_im * c_im
+    ac_im = a_re * c_im + a_im * c_re
+    bd_re = b_re * d_re - b_im * d_im
+    bd_im = b_re * d_im + b_im * d_re
+    ad_re = a_re * d_re - a_im * d_im
+    ad_im = a_re * d_im + a_im * d_re
+    bc_re = b_re * c_re - b_im * c_im
+    bc_im = b_re * c_im + b_im * c_re
+    return ExactScalar(
+        ac_re + 2 * bd_re,
+        ac_im + 2 * bd_im,
+        ad_re + bc_re,
+        ad_im + bc_im,
+    )
+
+
+def _reference_neg(x: ExactScalar) -> ExactScalar:
+    return ExactScalar(-x.ra, -x.ia, -x.rb, -x.ib)
+
+
+def _reference_pow(x: ExactScalar, k: int) -> ExactScalar:
+    out = ONE
+    for _ in range(k):
+        out = _reference_mul(out, x)
+    return out
+
+
+def _reference_invert(x: ExactScalar) -> ExactScalar:
+    conj = ExactScalar(x.ra, x.ia, -x.rb, -x.ib)
+    norm = _reference_mul(x, conj)
+    den = norm.ra * norm.ra + norm.ia * norm.ia
+    return _reference_mul(conj, ExactScalar(norm.ra / den, -norm.ia / den))
+
+
+def _assert_reduced(x: ExactScalar) -> None:
+    for comp in (x.ra, x.ia, x.rb, x.ib):
+        assert type(comp) is Fraction
+        assert comp.denominator > 0
+        assert math.gcd(comp.numerator, comp.denominator) == 1
+
+
+# Zero-heavy components, numerators up to 10**30, denominators up to
+# 10**12, and a strategy whose sqrt2 parts are never both zero.
+wide_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 4, 3])),
+    st.builds(
+        Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**12)
+    ),
+)
+wide_scalars = st.builds(
+    ExactScalar, wide_fractions, wide_fractions, wide_fractions, wide_fractions
+)
+surd_scalars = wide_scalars.filter(lambda s: s.rb or s.ib)
+any_scalars = st.one_of(wide_scalars, surd_scalars)
+
+
+@given(any_scalars, any_scalars)
+@settings(max_examples=400)
+def test_ring_operations_match_reference(x, y):
+    cases = [
+        (x * y, _reference_mul(x, y)),
+        (x + y, _reference_add(x, y)),
+        (x - y, _reference_add(x, _reference_neg(y))),
+        (3 - x, _reference_add(ExactScalar.from_int(3), _reference_neg(x))),
+        (x * 5, _reference_mul(x, ExactScalar.from_int(5))),
+    ]
+    for got, want in cases:
+        assert got == want
+        _assert_reduced(got)
+
+
+@given(any_scalars, st.integers(0, 5))
+@settings(max_examples=150)
+def test_powers_and_inverse_match_reference(x, k):
+    got = x**k
+    assert got == _reference_pow(x, k)
+    _assert_reduced(got)
+    if not x.is_zero():
+        inv = x.invert()
+        assert inv == _reference_invert(x)
+        _assert_reduced(inv)
+        assert _reference_mul(x, inv) == ONE
+
+
+@given(any_scalars, any_scalars)
+@settings(max_examples=150)
+def test_equal_values_hash_equal(x, y):
+    routes = [(x + y) - y, x * ONE, (x * y) * ONE - x * y + x, x + ZERO]
+    for value in routes:
+        assert value == x
+        assert hash(value) == hash(x)
+    assert hash(x * y) == hash(y * x) == hash(_reference_mul(x, y))
+
+
+def test_dataclass_replace_keeps_working():
+    x = ExactScalar(Fraction(1, 3), Fraction(2), Fraction(-1, 6), Fraction(0))
+    y = dataclasses.replace(x, ra=Fraction(1, 2))
+    assert y == ExactScalar(Fraction(1, 2), Fraction(2), Fraction(-1, 6))
+    assert y * SQRT2 == _reference_mul(y, SQRT2)
+    assert y + x == _reference_add(y, x)
