@@ -140,14 +140,24 @@ def _polynomial_text(poly: OrderedPolynomial) -> str:
     return exprio.render_terms(poly)
 
 
-def _polynomial_outcome(poly: OrderedPolynomial) -> dict:
-    return {
-        "status": "ok",
-        "payload": {
-            "result": exprio.polynomial_to_json(poly),
-            "text": _polynomial_text(poly),
-        },
-    }
+def _emit_polynomial(poly: OrderedPolynomial, as_json: bool) -> int:
+    try:
+        outcome = {
+            "status": "ok",
+            "payload": {
+                "result": exprio.polynomial_to_json(poly),
+                "text": _polynomial_text(poly),
+            },
+        }
+    except ValueError:
+        # str() refuses ints longer than Python's int/str digit limit.
+        return _print_error(
+            "the result has a coefficient too long to print: more than "
+            f"{exprio.max_int_digits()} digits",
+            as_json,
+        )
+    _emit(outcome, as_json, outcome["payload"]["text"])
+    return OK
 
 
 def cmd_convert(args) -> int:
@@ -158,9 +168,7 @@ def cmd_convert(args) -> int:
         return _print_error(exc.pretty(args.expr), as_json, exc.span)
     except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
         return _print_error(str(exc), as_json)
-    outcome = _polynomial_outcome(poly)
-    _emit(outcome, as_json, outcome["payload"]["text"])
-    return OK
+    return _emit_polynomial(poly, as_json)
 
 
 def cmd_commutator(args) -> int:
@@ -176,9 +184,7 @@ def cmd_commutator(args) -> int:
         return _print_error(exc.pretty(source), as_json, exc.span)
     except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
         return _print_error(str(exc), as_json)
-    outcome = _polynomial_outcome(bracket)
-    _emit(outcome, as_json, outcome["payload"]["text"])
-    return OK
+    return _emit_polynomial(bracket, as_json)
 
 
 def cmd_expand(args) -> int:
@@ -192,9 +198,7 @@ def cmd_expand(args) -> int:
         return _print_error(exc.pretty(args.expr), as_json, exc.span)
     except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
         return _print_error(str(exc), as_json)
-    outcome = _polynomial_outcome(poly)
-    _emit(outcome, as_json, outcome["payload"]["text"])
-    return OK
+    return _emit_polynomial(poly, as_json)
 
 
 def cmd_verify(args) -> int:
@@ -319,7 +323,10 @@ def cmd_transform(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     bounds = (
         "convert, commutator and expand exit 2 on inputs beyond these "
-        f"bounds: {_EXPANSION_BOUNDS}."
+        f"bounds: {_EXPANSION_BOUNDS}; parentheses and unary minus nest "
+        f"at most {exprio.MAX_NESTING} levels deep; an integer, in the "
+        "input or the result, has at most Python's int/str digit limit "
+        f"({exprio.max_int_digits() or 'none'})."
     )
     parser = argparse.ArgumentParser(
         prog="weylkit",

@@ -11,16 +11,24 @@ Surface syntax (ASCII only; explicit operators, no implicit products):
     symbol  := 'Q' | 'P' | 'a' | 'adag'
     block   := ('pq{' | 'qp{' | 'weyl{') expr '}'
 
-Outside an ordering block, products are noncommutative and the result
-is a :class:`FreeExpression`.  Inside a block the symbols commute and
-the block denotes an :class:`OrderedPolynomial` with that tag; ladder
-symbols are not allowed there.  A block standing alone parses to the
-polynomial itself; a block embedded in a larger expression is spliced
-in as its explicit P-Q word expansion.
+There is one grammar.  Outside an ordering block, products are
+noncommutative and the result is a :class:`FreeExpression`.  A block
+body is parsed by the same rules into a :class:`FreeExpression` tree,
+which is then evaluated with the symbols commuting: the block denotes an
+:class:`OrderedPolynomial` with that tag.  Inside a block, ladder
+symbols and nested blocks are refused.  A block standing alone parses to
+the polynomial itself; a block embedded in a larger expression is
+spliced in as its explicit P-Q word expansion.
+
+Parentheses and unary minus nest at most ``MAX_NESTING`` levels deep,
+and an integer literal may have at most as many digits as Python reads
+into an int (:func:`max_int_digits`); past either bound the parser
+raises :class:`ParseError`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +48,10 @@ from .opalg import (
     to_expression,
 )
 from .ordering import CommutativePoly2
+
+# Deepest nesting of '(' and unary '-' the parser accepts; the recursive
+# descent takes up to six Python frames per level.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -84,6 +96,8 @@ _SYMBOLS = {
     "adag": Symbol.ADAG,
 }
 _ORDER_TAGS = {"pq": Ordering.PQ, "qp": Ordering.QP, "weyl": Ordering.WEYL}
+# The symbols allowed in a block, as exponents of a commutative monomial.
+_COMMUTING = {Symbol.Q: (1, 0), Symbol.P: (0, 1)}
 _PUNCT = {
     "+": "plus",
     "-": "minus",
@@ -95,8 +109,28 @@ _PUNCT = {
 }
 
 
+def max_int_digits() -> int:
+    """Python's limit on the digits of an int read from or written as
+    text (``sys.get_int_max_str_digits``, Python >= 3.10.7); 0 if none."""
+    getter = getattr(sys, "get_int_max_str_digits", None)
+    return getter() if getter else 0
+
+
+def _digits_end(text: str, start: int, limit: int) -> int:
+    """End of the run of decimal digits at ``start``, at most ``limit`` long."""
+    end = start
+    while end < len(text) and text[end].isdecimal():
+        end += 1
+    if limit and end - start > limit:
+        raise ParseError(
+            f"integer literal has more than {limit} digits", (start, end)
+        )
+    return end
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
+    limit = max_int_digits()
     pos = 0
     size = len(text)
     while pos < size:
@@ -108,15 +142,11 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(_PUNCT[ch], ch, pos, pos + 1))
             pos += 1
             continue
-        if ch.isdigit():
-            end = pos + 1
-            while end < size and text[end].isdigit():
-                end += 1
+        if ch.isdecimal():
+            end = _digits_end(text, pos, limit)
             if end < size and text[end] == "/":
                 den_start = end + 1
-                den_end = den_start
-                while den_end < size and text[den_end].isdigit():
-                    den_end += 1
+                den_end = _digits_end(text, den_start, limit)
                 if den_end == den_start:
                     raise ParseError(
                         "rational literal needs digits after '/'",
@@ -178,6 +208,8 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
+        self.in_block = False
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -205,7 +237,16 @@ class _Parser:
             frozenset(["+", "-", "*", "^"]),
         )
 
-    # -- free (noncommutative) grammar --------------------------------
+    def nested(self, token: Token, parse):
+        """Run ``parse`` one level deeper, refusing past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"expression nests deeper than {MAX_NESTING} levels", token.span
+            )
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse_input(self) -> FreeExpression | OrderedPolynomial:
         # A lone ordering block yields the polynomial itself.
@@ -244,9 +285,10 @@ class _Parser:
         return factors[0] if len(factors) == 1 else ProductNode(tuple(factors))
 
     def parse_unary(self) -> FreeExpression:
-        if self.peek().kind == "minus":
+        token = self.peek()
+        if token.kind == "minus":
             self.advance()
-            return -self.parse_unary()
+            return -self.nested(token, self.parse_unary)
         return self.parse_factor()
 
     def parse_factor(self) -> FreeExpression:
@@ -272,14 +314,22 @@ class _Parser:
             self.advance()
             return ScalarNode(SQRT2)
         if token.kind == "symbol":
+            symbol = _SYMBOLS[token.text]
+            if self.in_block and symbol not in _COMMUTING:
+                raise ParseError(
+                    "ladder symbols cannot appear inside an ordering block",
+                    token.span,
+                )
             self.advance()
-            return SymbolNode(_SYMBOLS[token.text])
+            return SymbolNode(symbol)
         if token.kind == "lparen":
             self.advance()
-            inner = self.parse_expr()
+            inner = self.nested(token, self.parse_expr)
             self.expect("rparen")
             return inner
         if token.kind == "order_open":
+            if self.in_block:
+                raise ParseError("ordering blocks cannot nest", token.span)
             block = self.parse_block()
             # Embedded block: splice in its explicit word expansion.
             if block.ordering is Ordering.WEYL:
@@ -288,95 +338,44 @@ class _Parser:
         raise ParseError(
             f"expected a value, found {token.text or 'end of input'!r}",
             token.span,
-            frozenset(["scalar", "symbol", "(", "pq{", "qp{", "weyl{"]),
+            frozenset(
+                ["scalar", "Q", "P", "("]
+                if self.in_block
+                else ["scalar", "symbol", "(", "pq{", "qp{", "weyl{"]
+            ),
         )
-
-    # -- commutative block grammar -------------------------------------
 
     def parse_block(self) -> OrderedPolynomial:
         open_token = self.expect("order_open")
-        tag = _ORDER_TAGS[open_token.text]
-        body = self.parse_comm_expr()
+        self.in_block = True
+        body = self.parse_expr()
         self.expect("rbrace")
-        return OrderedPolynomial.from_terms(tag, body.terms.items())
-
-    def parse_comm_expr(self) -> CommutativePoly2:
-        terms = []
-        negate = False
-        if self.peek().kind == "minus":
-            self.advance()
-            negate = True
-        while True:
-            term = self.parse_comm_term()
-            terms.extend((-term if negate else term).terms.items())
-            if self.peek().kind not in ("plus", "minus"):
-                return CommutativePoly2.from_terms(terms)
-            negate = self.advance().kind == "minus"
-
-    def parse_comm_term(self) -> CommutativePoly2:
-        total = self.parse_comm_unary()
-        while self.peek().kind == "star":
-            self.advance()
-            total = total * self.parse_comm_unary()
-        token = self.peek()
-        if token.kind not in ("plus", "minus", "rparen", "rbrace", "eof"):
-            self.fail_junk(token)
-        return total
-
-    def parse_comm_unary(self) -> CommutativePoly2:
-        if self.peek().kind == "minus":
-            self.advance()
-            return -self.parse_comm_unary()
-        return self.parse_comm_factor()
-
-    def parse_comm_factor(self) -> CommutativePoly2:
-        base = self.parse_comm_primary()
-        if self.peek().kind == "caret":
-            self.advance()
-            exponent = self.expect("int")
-            return base ** int(exponent.text)
-        return base
-
-    def parse_comm_primary(self) -> CommutativePoly2:
-        token = self.peek()
-        if token.kind == "int":
-            self.advance()
-            value = ExactScalar(Fraction(int(token.text)))
-            return CommutativePoly2.monomial(0, 0, value)
-        if token.kind == "rational":
-            self.advance()
-            return CommutativePoly2.monomial(0, 0, _rational_value(token))
-        if token.kind == "imag":
-            self.advance()
-            return CommutativePoly2.monomial(0, 0, I)
-        if token.kind == "sqrt2":
-            self.advance()
-            return CommutativePoly2.monomial(0, 0, SQRT2)
-        if token.kind == "symbol":
-            self.advance()
-            sym = _SYMBOLS[token.text]
-            if sym is Symbol.Q:
-                return CommutativePoly2.monomial(1, 0)
-            if sym is Symbol.P:
-                return CommutativePoly2.monomial(0, 1)
-            raise ParseError(
-                "ladder symbols cannot appear inside an ordering block",
-                token.span,
-            )
-        if token.kind == "lparen":
-            self.advance()
-            inner = self.parse_comm_expr()
-            self.expect("rparen")
-            return inner
-        if token.kind == "order_open":
-            raise ParseError(
-                "ordering blocks cannot nest", token.span
-            )
-        raise ParseError(
-            f"expected a value, found {token.text or 'end of input'!r}",
-            token.span,
-            frozenset(["scalar", "Q", "P", "("]),
+        self.in_block = False
+        return OrderedPolynomial.from_terms(
+            _ORDER_TAGS[open_token.text], _commutative(body).terms.items()
         )
+
+
+def _commutative(e: FreeExpression) -> CommutativePoly2:
+    """Value of a block body's parse tree with Q and P commuting."""
+    if isinstance(e, SumNode):
+        return CommutativePoly2.from_terms(
+            pair for child in e.children for pair in _commutative(child).terms.items()
+        )
+    if isinstance(e, ProductNode):
+        out = _commutative(e.children[0])
+        for child in e.children[1:]:
+            out = out * _commutative(child)
+        return out
+    if isinstance(e, PowerNode):
+        if isinstance(e.base, SymbolNode):
+            # One monomial, not the m - 1 products of the general power.
+            i, j = _COMMUTING[e.base.symbol]
+            return CommutativePoly2.monomial(i * e.exponent, j * e.exponent)
+        return _commutative(e.base) ** e.exponent
+    if isinstance(e, SymbolNode):
+        return CommutativePoly2.monomial(*_COMMUTING[e.symbol])
+    return CommutativePoly2.monomial(0, 0, e.value)
 
 
 def parse(text: str) -> FreeExpression | OrderedPolynomial:
@@ -458,33 +457,3 @@ def polynomial_to_json(p: OrderedPolynomial) -> dict:
             for mon, coeff in p.sorted_terms()
         ],
     }
-
-
-def expression_to_json(e: FreeExpression) -> dict:
-    if isinstance(e, ScalarNode):
-        return {"node": "scalar", "value": scalar_to_json(e.value)}
-    if isinstance(e, SymbolNode):
-        return {"node": "symbol", "name": e.symbol.value}
-    if isinstance(e, SumNode):
-        return {
-            "node": "sum",
-            "children": [expression_to_json(c) for c in e.children],
-        }
-    if isinstance(e, ProductNode):
-        return {
-            "node": "product",
-            "children": [expression_to_json(c) for c in e.children],
-        }
-    if isinstance(e, PowerNode):
-        return {
-            "node": "power",
-            "base": expression_to_json(e.base),
-            "exponent": e.exponent,
-        }
-    raise TypeError(f"not a free expression: {e!r}")
-
-
-def to_json_ast(obj: FreeExpression | OrderedPolynomial) -> dict:
-    if isinstance(obj, OrderedPolynomial):
-        return polynomial_to_json(obj)
-    return expression_to_json(obj)

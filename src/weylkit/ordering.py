@@ -43,7 +43,6 @@ from .opalg import (
 )
 
 MINUS_I_HALF = -I_HALF
-MINUS_ONE = ExactScalar.from_int(-1)
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,6 @@ class CommutativePoly2:
         return CommutativePoly2.from_terms(
             list(self.terms.items()) + list(other.terms.items())
         )
-
-    def __neg__(self) -> CommutativePoly2:
-        return self.scale(MINUS_ONE)
-
-    def __sub__(self, other: CommutativePoly2) -> CommutativePoly2:
-        return self + (-other)
 
     def __mul__(self, other: CommutativePoly2) -> CommutativePoly2:
         out: list[tuple[tuple[int, int], ExactScalar]] = []

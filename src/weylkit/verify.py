@@ -84,6 +84,27 @@ def _numeric(name: str, error: float, tolerance: float, detail: str = "") -> Che
     )
 
 
+def _sweep_check(
+    name: str,
+    bad,
+    where: str = "failure at",
+    computed: OrderedPolynomial | None = None,
+    oracle: OrderedPolynomial | None = None,
+) -> CheckResult:
+    """Result of an exact sweep: passed when ``bad``, the failing case
+    the sweep recorded, is None; otherwise ``where`` that case is."""
+    if bad is None:
+        return CheckResult(name, True)
+    return CheckResult(
+        name,
+        False,
+        math.inf,
+        detail=f"{where} {bad}",
+        computed=None if computed is None else exprio.render(computed),
+        oracle=None if oracle is None else exprio.render(oracle),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Symbolic suites
 # ---------------------------------------------------------------------------
@@ -100,31 +121,22 @@ def suite_orderings(max_degree: int = 6) -> list[CheckResult]:
             got = conv.qp_to_pq(m, r)
             want = rewrite_to_pq(_qp_monomial_expression(m, r))
             if got.terms != want.terms and worst_pq is None:
-                worst_pq = (m, r, got, want)
+                worst_pq = ((m, r), got, want)
             got2 = conv.pq_to_qp(m, r)
             want2 = rewrite_to_qp(_pq_monomial_expression(m, r))
             if got2.terms != want2.terms and worst_qp is None:
-                worst_qp = (m, r, got2, want2)
-    checks.append(
-        CheckResult(
-            f"qp_to_pq equals rewriting, m,r <= {max_degree}",
-            worst_pq is None,
-            0.0 if worst_pq is None else math.inf,
-            computed=None if worst_pq is None else exprio.render(worst_pq[2]),
-            oracle=None if worst_pq is None else exprio.render(worst_pq[3]),
-            detail="" if worst_pq is None else f"first failure at {worst_pq[:2]}",
+                worst_qp = ((m, r), got2, want2)
+    for label, worst in (("qp_to_pq", worst_pq), ("pq_to_qp", worst_qp)):
+        bad, got, want = worst or (None, None, None)
+        checks.append(
+            _sweep_check(
+                f"{label} equals rewriting, m,r <= {max_degree}",
+                bad,
+                "first failure at",
+                got,
+                want,
+            )
         )
-    )
-    checks.append(
-        CheckResult(
-            f"pq_to_qp equals rewriting, m,r <= {max_degree}",
-            worst_qp is None,
-            0.0 if worst_qp is None else math.inf,
-            computed=None if worst_qp is None else exprio.render(worst_qp[2]),
-            oracle=None if worst_qp is None else exprio.render(worst_qp[3]),
-            detail="" if worst_qp is None else f"first failure at {worst_qp[:2]}",
-        )
-    )
 
     bad_sym = None
     for m in span:
@@ -139,11 +151,10 @@ def suite_orderings(max_degree: int = 6) -> list[CheckResult]:
         if bad_sym:
             break
     checks.append(
-        CheckResult(
+        _sweep_check(
             f"weyl_to_pq/weyl_to_qp equal symmetrized-word rewriting, m,r <= {max_degree}",
-            bad_sym is None,
-            0.0 if bad_sym is None else math.inf,
-            detail="" if bad_sym is None else f"first failure at {bad_sym}",
+            bad_sym,
+            "first failure at",
         )
     )
 
@@ -162,11 +173,10 @@ def suite_orderings(max_degree: int = 6) -> list[CheckResult]:
         if bad_weyl:
             break
     checks.append(
-        CheckResult(
+        _sweep_check(
             f"qp_to_weyl/pq_to_weyl invert through rewriting, m,r <= {max_degree}",
-            bad_weyl is None,
-            0.0 if bad_weyl is None else math.inf,
-            detail="" if bad_weyl is None else f"first failure at {bad_weyl}",
+            bad_weyl,
+            "first failure at",
         )
     )
 
@@ -181,11 +191,9 @@ def suite_orderings(max_degree: int = 6) -> list[CheckResult]:
                     if back.terms != start.terms:
                         bad_rt = (t1.value, t2.value, m, r)
     checks.append(
-        CheckResult(
+        _sweep_check(
             f"round-trip identity over all tag pairs, m,r <= {max_degree}",
-            bad_rt is None,
-            0.0 if bad_rt is None else math.inf,
-            detail="" if bad_rt is None else f"failure at {bad_rt}",
+            bad_rt,
         )
     )
 
@@ -197,11 +205,9 @@ def suite_orderings(max_degree: int = 6) -> list[CheckResult]:
             if adj.terms != conv.pq_to_qp(m, r).terms:
                 bad_adj = (m, r)
     checks.append(
-        CheckResult(
+        _sweep_check(
             "adjoint symmetry between qp_to_pq and pq_to_qp, m,r <= 5",
-            bad_adj is None,
-            0.0 if bad_adj is None else math.inf,
-            detail="" if bad_adj is None else f"failure at {bad_adj}",
+            bad_adj,
         )
     )
     return checks
@@ -230,11 +236,9 @@ def suite_commutators(max_degree: int = 6) -> list[CheckResult]:
             if not poly_equal(closed_pq, closed_qp):
                 bad = ("pq-vs-qp", m, r)
     checks.append(
-        CheckResult(
+        _sweep_check(
             f"closed-form commutators equal [Q^m, P^r] by rewriting, m,r <= {max_degree}",
-            bad is None,
-            0.0 if bad is None else math.inf,
-            detail="" if bad is None else f"failure at {bad}",
+            bad,
         )
     )
     bad_pow = None
@@ -253,11 +257,9 @@ def suite_commutators(max_degree: int = 6) -> list[CheckResult]:
             if closed.terms != want.terms:
                 bad_pow = (target.value, n)
     checks.append(
-        CheckResult(
+        _sweep_check(
             f"(P+Q)^n expansions equal rewriting, n <= {min(max_degree, 8)}",
-            bad_pow is None,
-            0.0 if bad_pow is None else math.inf,
-            detail="" if bad_pow is None else f"failure at {bad_pow}",
+            bad_pow,
         )
     )
     return checks
@@ -290,11 +292,9 @@ def suite_hermite(max_degree: int = 8) -> list[CheckResult]:
             ):
                 bad = (m, r)
     checks.append(
-        CheckResult(
+        _sweep_check(
             f"derivative representation equals forward symbol, m,r <= {max_degree}",
-            bad is None,
-            0.0 if bad is None else math.inf,
-            detail="" if bad is None else f"failure at {bad}",
+            bad,
         )
     )
     bad_inv = None
@@ -303,11 +303,9 @@ def suite_hermite(max_degree: int = 8) -> list[CheckResult]:
             if phasexform.monomial_inverse(m, r).terms != {(m, r): ONE}:
                 bad_inv = (m, r)
     checks.append(
-        CheckResult(
+        _sweep_check(
             f"inverse symbol map recovers bare monomials, m,r <= {max_degree}",
-            bad_inv is None,
-            0.0 if bad_inv is None else math.inf,
-            detail="" if bad_inv is None else f"failure at {bad_inv}",
+            bad_inv,
         )
     )
     bad_lit = None
@@ -325,11 +323,9 @@ def suite_hermite(max_degree: int = 8) -> list[CheckResult]:
             if conv._weyl_image_via_hermite(m, r, True).terms != reduced2:
                 bad_lit = ("pq", m, r)
     checks.append(
-        CheckResult(
+        _sweep_check(
             "scaled-Hermite route equals reduced Weyl coefficients, m,r <= 6",
-            bad_lit is None,
-            0.0 if bad_lit is None else math.inf,
-            detail="" if bad_lit is None else f"failure at {bad_lit}",
+            bad_lit,
         )
     )
     return checks

@@ -134,9 +134,54 @@ def test_expansion_bounds_accept_their_edges(capsys):
     assert code == 0 and out.strip()
     code, _, err = run(capsys, "expand", "P+Q", "--power", "12", "--to", "pq")
     assert code == 2 and "too large" in err
-    help_text = cli.build_parser().format_help()
+    help_text = " ".join(cli.build_parser().format_help().split())
     assert str(cli.MAX_WORD_SYMBOLS) in help_text
     assert str(cli.MAX_EXPANSION_WORK) in help_text
+    assert f"at most {exprio.MAX_NESTING} levels deep" in help_text
+    assert "digit limit" in help_text
+
+
+_TOO_LONG = "9" * (exprio.max_int_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(" * 320 + "Q" + ")" * 320, "nests deeper than"),
+        ("pq{" + "(" * 101 + "Q" + ")" * 101 + "}", "nests deeper than"),
+        ("Q + " + "-" * 2000 + "Q", "nests deeper than"),
+        (_TOO_LONG + "*Q", "digits"),
+        ("pq{Q^" + _TOO_LONG + "}", "digits"),
+    ],
+)
+def test_nesting_and_literal_limits_exit_2(capsys, schema, text, message):
+    if message == "digits" and not exprio.max_int_digits():
+        pytest.skip("this Python reads ints of any length")
+    code, out, err = run(capsys, "convert", text, "--to", "pq")
+    assert code == 2 and not out
+    assert message in err
+    code, doc = run_json(
+        capsys, schema, "convert", text, "--to", "pq", "--format", "json"
+    )
+    assert code == 2 and doc["status"] == "error"
+    assert message in doc["payload"]["message"]
+    assert doc["payload"]["span"]
+
+
+@pytest.mark.parametrize("source", ["({n})^3*Q", "pq{{({n})^3*Q}}"])
+def test_overlong_result_coefficients_exit_2(capsys, schema, source):
+    limit = exprio.max_int_digits()
+    if not limit:
+        pytest.skip("this Python prints ints of any length")
+    text = source.format(n="9" * (limit // 2 + 1))
+    code, out, err = run(capsys, "convert", text, "--to", "qp")
+    assert code == 2 and not out
+    assert f"too long to print: more than {limit} digits" in err
+    code, doc = run_json(
+        capsys, schema, "convert", text, "--to", "qp", "--format", "json"
+    )
+    assert code == 2 and doc["status"] == "error"
+    assert "too long to print" in doc["payload"]["message"]
 
 
 def test_verify_orderings_passes(capsys):

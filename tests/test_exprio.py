@@ -4,18 +4,19 @@ import string
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit import ordering as conv
-from weylkit.exactnum import ExactScalar, I, ONE
+from weylkit.exactnum import SQRT2, ExactScalar, I, ONE
 from weylkit.exprio import (
+    MAX_NESTING,
     ParseError,
+    max_int_digits,
     parse,
     polynomial_to_json,
     render,
     render_terms,
-    to_json_ast,
     tokenize,
 )
 from weylkit.opalg import (
@@ -25,6 +26,7 @@ from weylkit.opalg import (
     Ordering,
     rewrite_to_pq,
 )
+from weylkit.ordering import CommutativePoly2
 
 
 def test_parse_commutator_expression():
@@ -108,7 +110,11 @@ def test_parse_errors_carry_spans():
         "pq{a}": "ladder symbols",
         "weyl{pq{Q}}": "cannot nest",
         "": "expected a value",
+        "pq{Q + }": "expected a value",
         "Q $ P": "unexpected character",
+        # Superscript two is a digit to str.isdigit but not to int().
+        "Q^\u00b2": "unexpected character",
+        "1/\u00b2": "rational literal",
     }
     for text, fragment in cases.items():
         with pytest.raises(ParseError) as err:
@@ -159,9 +165,7 @@ def test_tokenize_spans_nest():
         assert 0 <= tok.start <= tok.end <= len("pq{Q^2} + 1/2")
 
 
-def test_json_ast_shapes():
-    doc = to_json_ast(parse("Q*P^2 + 3"))
-    assert doc["node"] == "sum"
+def test_polynomial_json_shape():
     poly_doc = polynomial_to_json(conv.qp_to_pq(2, 1))
     json.dumps(poly_doc)
     assert poly_doc["ordering"] == "pq"
@@ -242,3 +246,169 @@ def test_parser_fuzz_seeded_corpus():
             parse(text)
         except ParseError:
             pass
+
+
+_MINUS_ONE = ExactScalar.from_int(-1)
+_REFERENCE_SCALARS = {
+    "int": lambda text: ExactScalar(Fraction(int(text))),
+    "rational": lambda text: ExactScalar(Fraction(text)),
+    "imag": lambda text: I,
+    "sqrt2": lambda text: SQRT2,
+}
+
+
+class _ReferenceBlock:
+    """The block grammar as its own recursive descent, building the
+    commutative value while it parses, to check the parser's fold of
+    the block's free parse tree.  Valid bodies only."""
+
+    def __init__(self, body: str):
+        self.tokens = tokenize(body)
+        self.pos = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.pos].kind
+
+    def advance(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expr(self) -> CommutativePoly2:
+        terms = []
+        negate = self.peek() == "minus"
+        if negate:
+            self.advance()
+        while True:
+            term = self.term()
+            terms.extend((term.scale(_MINUS_ONE) if negate else term).terms.items())
+            if self.peek() not in ("plus", "minus"):
+                return CommutativePoly2.from_terms(terms)
+            negate = self.advance().kind == "minus"
+
+    def term(self) -> CommutativePoly2:
+        total = self.unary()
+        while self.peek() == "star":
+            self.advance()
+            total = total * self.unary()
+        return total
+
+    def unary(self) -> CommutativePoly2:
+        if self.peek() == "minus":
+            self.advance()
+            return self.unary().scale(_MINUS_ONE)
+        return self.factor()
+
+    def factor(self) -> CommutativePoly2:
+        base = self.primary()
+        if self.peek() == "caret":
+            self.advance()
+            return base ** int(self.advance().text)
+        return base
+
+    def primary(self) -> CommutativePoly2:
+        token = self.advance()
+        if token.kind == "lparen":
+            inner = self.expr()
+            assert self.advance().kind == "rparen"
+            return inner
+        if token.kind == "symbol":
+            return CommutativePoly2.monomial(*{"Q": (1, 0), "P": (0, 1)}[token.text])
+        return CommutativePoly2.monomial(0, 0, _REFERENCE_SCALARS[token.kind](token.text))
+
+
+def _reference_block(body: str) -> list:
+    """The block body's terms, in dict order, by the reference grammar."""
+    parser = _ReferenceBlock(body)
+    poly = parser.expr()
+    assert parser.peek() == "eof"
+    return list(poly.terms.items())
+
+
+def _block_nodes(children):
+    return st.one_of(
+        children.map(lambda s: f"({s})"),
+        children.map(lambda s: f"-{s}"),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(
+            st.sampled_from(["Q", "P", "2", "i", "r2", "1/2"]), st.integers(0, 4)
+        ).map(lambda t: f"{t[0]}^{t[1]}"),
+        st.lists(children, min_size=2, max_size=3).map("*".join),
+        st.tuples(
+            children, st.sampled_from([" + ", " - ", "+-", "--"]), children
+        ).map("".join),
+    )
+
+
+block_bodies = st.recursive(
+    st.sampled_from(["Q", "P", "i", "r2", "0", "1", "2", "3/4", "-5/3", "Q^0"]),
+    _block_nodes,
+    max_leaves=10,
+)
+
+
+@given(block_bodies, st.sampled_from(["pq", "qp", "weyl"]))
+@example("(Q + 1)*(P + 2)*(Q - P)", "pq")
+@example("-(Q + P)^2*Q^3 - P^2*(i + r2)^0", "qp")
+@settings(max_examples=300, deadline=None)
+def test_block_fold_matches_reference_grammar(body, tag):
+    poly = parse(f"{tag}{{{body}}}")
+    assert poly.ordering.value == tag
+    got = [((mon.m, mon.r), coeff) for mon, coeff in poly.terms.items()]
+    assert got == _reference_block(body), body
+
+
+def test_block_rules_end_at_the_closing_brace():
+    expr = parse("pq{Q*P} * adag + qp{Q - P} * a")
+    assert isinstance(expr, FreeExpression)
+    with pytest.raises(ParseError) as err:
+        parse("pq{Q + }")
+    assert err.value.expected == frozenset(["scalar", "Q", "P", "("])
+    with pytest.raises(ParseError) as err:
+        parse("pq{Q} * (P + )")
+    assert err.value.expected == frozenset(
+        ["scalar", "symbol", "(", "pq{", "qp{", "weyl{"]
+    )
+
+
+def _parens(depth: int) -> str:
+    return "(" * depth + "Q" + ")" * depth
+
+
+@pytest.mark.parametrize("wrap", ["{}", "pq{{{}}}"])
+def test_nesting_is_capped(wrap):
+    offset = wrap.format("\0").index("\0")
+    for text in (_parens(MAX_NESTING), "Q + " + "-" * MAX_NESTING + "Q"):
+        parse(wrap.format(text))
+    too_deep = {
+        _parens(MAX_NESTING + 1): MAX_NESTING,
+        _parens(320): MAX_NESTING,
+        "Q + " + "-" * 2000 + "Q": 4 + MAX_NESTING,
+        "-" * 2000 + "Q": 1 + MAX_NESTING,
+        # Each level is a unary minus and a parenthesis.
+        "Q*" + "-(Q*" * 60 + "Q" + ")" * 60: 2 + 4 * (MAX_NESTING // 2),
+    }
+    for text, start in too_deep.items():
+        with pytest.raises(ParseError) as err:
+            parse(wrap.format(text))
+        assert err.value.message == (
+            f"expression nests deeper than {MAX_NESTING} levels"
+        )
+        assert err.value.span == (offset + start, offset + start + 1)
+
+
+def test_overlong_integer_literals_are_parse_errors():
+    limit = max_int_digits()
+    if not limit:
+        pytest.skip("this Python reads ints of any length")
+    parse("9" * limit + "*Q")
+    digits = "9" * (limit + 1)
+    for text, start in (
+        (f"{digits}*Q", 0),
+        (f"Q^{digits}", 2),
+        (f"pq{{1/{digits}*Q}}", 5),
+        (f"pq{{P^{digits}}}", 5),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.span == (start, start + limit + 1)
+        assert f"more than {limit} digits" in err.value.message
