@@ -3,7 +3,7 @@
 The package has three layers:
 
 * exact symbolic algebra over Q(i, sqrt2) -- :mod:`weylkit.exactnum`,
-  :mod:`weylkit.opalg` (brute-force rewriting) and
+  :mod:`weylkit.opalg` (the one product, brute-force rewriting) and
   :mod:`weylkit.ordering` (closed-form conversions);
 * a truncated-Fock-space numeric oracle -- :mod:`weylkit.fockspace`;
 * the two-fold phase-space transform -- :mod:`weylkit.phasexform`.

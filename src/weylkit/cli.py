@@ -128,6 +128,7 @@ def _to_polynomial(
     if isinstance(value, OrderedPolynomial):
         return conv.convert(value, target)
     _check_expansion(value)
+    # Kept on the rewriting oracle: bench's cli-exact traces opalg here.
     canonical = rewrite_to_pq(value)
     return conv.convert(canonical, target)
 

@@ -14,7 +14,8 @@ Surface syntax (ASCII only; explicit operators, no implicit products):
 There is one grammar.  Outside an ordering block, products are
 noncommutative and the result is a :class:`FreeExpression`.  A block
 body is parsed by the same rules into a :class:`FreeExpression` tree,
-which is then evaluated with the symbols commuting: the block denotes an
+which is then evaluated with the symbols commuting, by the package's one
+product (:func:`weylkit.opalg._evaluate` with f = 0): the block denotes an
 :class:`OrderedPolynomial` with that tag.  Inside a block, ladder
 symbols and nested blocks are refused.  A block standing alone parses to
 the polynomial itself; a block embedded in a larger expression is
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ordering as _conv
-from .exactnum import ExactScalar, I, ONE, SQRT2
+from .exactnum import ExactScalar, I, ONE, SQRT2, ZERO
 from .opalg import (
     FreeExpression,
     Monomial,
@@ -45,9 +46,9 @@ from .opalg import (
     SumNode,
     Symbol,
     SymbolNode,
+    _evaluate,
     to_expression,
 )
-from .ordering import CommutativePoly2
 
 # Deepest nesting of '(' and unary '-' the parser accepts; the recursive
 # descent takes up to six Python frames per level.
@@ -96,8 +97,8 @@ _SYMBOLS = {
     "adag": Symbol.ADAG,
 }
 _ORDER_TAGS = {"pq": Ordering.PQ, "qp": Ordering.QP, "weyl": Ordering.WEYL}
-# The symbols allowed in a block, as exponents of a commutative monomial.
-_COMMUTING = {Symbol.Q: (1, 0), Symbol.P: (0, 1)}
+# The symbols allowed in a block, as commutative monomials Q^m P^r.
+_COMMUTING = {Symbol.Q: {(1, 0): ONE}, Symbol.P: {(0, 1): ONE}}
 _PUNCT = {
     "+": "plus",
     "-": "minus",
@@ -210,6 +211,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.in_block = False
+        self.blocks: dict[int, tuple[OrderedPolynomial, int]] = {}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -346,36 +348,22 @@ class _Parser:
         )
 
     def parse_block(self) -> OrderedPolynomial:
+        # Memoized by the opening token: parse_input backtracks over a
+        # leading block that more input follows and meets it again.
+        start = self.pos
+        if start in self.blocks:
+            block, self.pos = self.blocks[start]
+            return block
         open_token = self.expect("order_open")
         self.in_block = True
         body = self.parse_expr()
         self.expect("rbrace")
         self.in_block = False
-        return OrderedPolynomial.from_terms(
-            _ORDER_TAGS[open_token.text], _commutative(body).terms.items()
+        block = OrderedPolynomial.from_terms(
+            _ORDER_TAGS[open_token.text], _evaluate(body, _COMMUTING, ZERO).items()
         )
-
-
-def _commutative(e: FreeExpression) -> CommutativePoly2:
-    """Value of a block body's parse tree with Q and P commuting."""
-    if isinstance(e, SumNode):
-        return CommutativePoly2.from_terms(
-            pair for child in e.children for pair in _commutative(child).terms.items()
-        )
-    if isinstance(e, ProductNode):
-        out = _commutative(e.children[0])
-        for child in e.children[1:]:
-            out = out * _commutative(child)
-        return out
-    if isinstance(e, PowerNode):
-        if isinstance(e.base, SymbolNode):
-            # One monomial, not the m - 1 products of the general power.
-            i, j = _COMMUTING[e.base.symbol]
-            return CommutativePoly2.monomial(i * e.exponent, j * e.exponent)
-        return _commutative(e.base) ** e.exponent
-    if isinstance(e, SymbolNode):
-        return CommutativePoly2.monomial(*_COMMUTING[e.symbol])
-    return CommutativePoly2.monomial(0, 0, e.value)
+        self.blocks[start] = (block, self.pos)
+        return block
 
 
 def parse(text: str) -> FreeExpression | OrderedPolynomial:

@@ -1,36 +1,41 @@
-"""Noncommutative polynomials in (Q, P) and (a, a+) with canonical rewriting.
+"""Noncommutative polynomials in (Q, P) and (a, a+): one closed-form
+product, and the brute-force rewriting oracle kept apart from it.
 
-The rewriting engine is deliberately brute force: expressions are
-expanded into words over the symbol alphabet and adjacent-pair rewrite
-rules are applied to exhaustion,
+:func:`_product` is the package's one polynomial product.  Its terms are
+keyed (a, b) = left^a right^b; it moves right^b1 past left^a2 under
+right*left = left*right + f by the reordering family that
+:mod:`weylkit.ordering` converts with, :func:`_conversion_terms`, which
+lives here.  :func:`_evaluate` folds it over a parse tree: f = 0 for
+block bodies and :class:`weylkit.ordering.CommutativePoly2`, f = 1 over
+(a+, a) for :func:`normal_order` and :func:`substitute_ladder`.
+
+The rewriting oracle (:func:`rewrite_to_pq`, :func:`rewrite_to_qp`,
+:func:`commutator`) uses none of it: it expands into words over the
+symbol alphabet and applies adjacent-pair rules to exhaustion,
 
     Q P -> P Q + i        (P-Q target)
     P Q -> Q P - i        (Q-P target)
     a a+ -> a+ a + 1      (normal ordering)
 
 Each swap strictly reduces the number of out-of-order pairs, so the
-process terminates; confluence of these rules makes the normal form
-independent of the scan strategy.  This module is the ground truth that
-every closed-form ordering conversion is tested against.
+process terminates; confluence makes the normal form independent of the
+scan strategy.  The rule is applied one pair at a time, at the leftmost
+out-of-order pair, but each intermediate word of one word's rewrite is
+normal-ordered once and the powers of the correction are counted as
+integers, so the cost is polynomial in the word length.  The oracle is
+the ground truth that every closed form is tested against.
 
-The rule is still applied one pair at a time, at the leftmost
-out-of-order pair.  Within one word's rewrite each intermediate word is
-normal-ordered once and its result reused, and the powers of the
-correction are counted as integers, so the cost is polynomial in the
-word length rather than exponential in its inversion count.
-
-:func:`collect` is the package's single sparse-sum core: the terms of
-every polynomial type, the word expansions here and the conversions in
-:mod:`weylkit.ordering` are all summed by key through it.
-
-All values are immutable and the operations are pure.
+:func:`collect` is the package's single sparse-sum core.  All values are
+immutable and the operations are pure.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, NamedTuple
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .exactnum import ExactScalar, I, MINUS_I, ONE, SQRT2, ZERO
 
@@ -78,6 +83,38 @@ def collect(pairs: Iterable[tuple[Hashable, ExactScalar]]) -> dict:
         else:
             out[key] = coeff
     return out
+
+
+def _conversion_terms(
+    m: int, r: int, factor: ExactScalar
+) -> Iterator[tuple[tuple[int, int], ExactScalar]]:
+    """((m-l, r-l), factor^l l! C(m,l) C(r,l)) for l = 0..min(m,r): right^m
+    left^r as left^(r-l) right^(m-l), keyed (#right, #left), when
+    right*left = left*right + factor.  The l = 0 coefficient is ``ONE``
+    itself, and a zero factor yields it alone: no scalar products."""
+    yield (m, r), ONE
+    if factor.is_zero():
+        return
+    power = ONE
+    for l in range(1, min(m, r) + 1):
+        power = power * factor
+        count = math.factorial(l) * math.comb(m, l) * math.comb(r, l)
+        yield (m - l, r - l), ExactScalar.from_int(count) * power
+
+
+def _product(x: Mapping, y: Mapping, f: ExactScalar) -> dict:
+    """Product of term dicts keyed (a, b) = left^a right^b, x outer, y inner:
+    (left^a1 right^b1)(left^a2 right^b2) = sum_l f^l l! C(b1,l) C(a2,l)
+    left^(a1+a2-l) right^(b1+b2-l), where right*left = left*right + f."""
+
+    def terms():
+        for (a1, b1), c1 in x.items():
+            for (a2, b2), c2 in y.items():
+                c = c1 * c2
+                for (b, a), n in _conversion_terms(b1, a2, f):
+                    yield (a1 + a, b + b2), c if n is ONE else c * n
+
+    return collect(terms())
 
 
 def term_sort_key(mon: Monomial) -> tuple[int, int]:
@@ -185,9 +222,6 @@ class Symbol(enum.Enum):
     ADAG = "adag"
 
 
-CANONICAL_SYMBOLS = frozenset({Symbol.Q, Symbol.P})
-LADDER_SYMBOLS = frozenset({Symbol.A, Symbol.ADAG})
-
 Word = tuple[Symbol, ...]
 
 
@@ -223,9 +257,6 @@ class FreeExpression:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("powers take non-negative integer exponents")
         return PowerNode(self, exponent)
-
-    def symbols(self) -> frozenset[Symbol]:
-        return frozenset(s for word in self.expand() for s in word)
 
     def expand(self) -> dict[Word, ExactScalar]:
         """Distribute into a word-indexed linear combination."""
@@ -308,6 +339,38 @@ Q = SymbolNode(Symbol.Q)
 P = SymbolNode(Symbol.P)
 A = SymbolNode(Symbol.A)
 ADAG = SymbolNode(Symbol.ADAG)
+
+
+def _evaluate(tree: FreeExpression, leaves: Mapping, f: ExactScalar) -> dict:
+    """Terms of ``tree``, each symbol read as its term dict in ``leaves``,
+    folded bottom-up and left to right with :func:`_product`.
+
+    A symbol without a leaf is refused wherever it stands, even under a
+    zero coefficient.  A one-term leaf must be a bare generator with
+    coefficient ``ONE``, so that its power is one monomial.
+    """
+    if isinstance(tree, SumNode):
+        parts = (_evaluate(child, leaves, f).items() for child in tree.children)
+        return collect(pair for part in parts for pair in part)
+    if isinstance(tree, ScalarNode):
+        return {} if tree.value.is_zero() else {(0, 0): tree.value}
+    if isinstance(tree, SymbolNode):
+        if tree.symbol not in leaves:
+            name = tree.symbol.value
+            raise UnsupportedSymbolError(f"symbol {name!r} is not in this algebra")
+        return dict(leaves[tree.symbol])
+    if isinstance(tree, PowerNode):
+        base = _evaluate(tree.base, leaves, f)
+        if isinstance(tree.base, SymbolNode) and len(base) == 1:
+            ((a, b),) = base  # one monomial, not e - 1 products
+            return {(a * tree.exponent, b * tree.exponent): ONE}
+        factors = itertools.repeat(base, tree.exponent)
+    else:
+        factors = (_evaluate(child, leaves, f) for child in tree.children)
+    out = next(factors, {(0, 0): ONE})  # an empty product is the unit
+    for factor in factors:
+        out = _product(out, factor, f)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,61 +472,24 @@ def rewrite_to_qp(e: FreeExpression) -> OrderedPolynomial:
     return _rewrite_expression(e, Ordering.QP)[0]
 
 
-def _normal_order_ladder_words(
-    words: Mapping[Word, ExactScalar],
-) -> LadderPolynomial:
-    # a * a+ -> a+ * a + 1, applied to exhaustion.
-    out: list[tuple[tuple[int, int], ExactScalar]] = []
-    for word, coeff in words.items():
-        word_terms, _ = _rewrite_word(word, Symbol.ADAG, Symbol.A, ONE)
-        # counts = (#A as 'right', #ADAG as 'left') per _rewrite_word:
-        # key = (count(right), count(left)) = (#a, #a+); flip to (j, k).
-        for (n_a, n_adag), c in word_terms.items():
-            out.append(((n_adag, n_a), c * coeff))
-    return LadderPolynomial.from_terms(LadderOrdering.NORMAL, out)
+# Ladder terms are keyed (j, k) = (a+)^j a^k, and a a+ = a+ a + 1.
+_LADDER_LEAVES = {Symbol.ADAG: {(1, 0): ONE}, Symbol.A: {(0, 1): ONE}}
+_INV_SQRT2 = SQRT2.invert()
+# Q = (a + a+)/sqrt2,  P = (a - a+)/(sqrt2 i)
+_LADDER_IMAGE = {
+    Symbol.Q: {(0, 1): _INV_SQRT2, (1, 0): _INV_SQRT2},
+    Symbol.P: {(0, 1): MINUS_I * _INV_SQRT2, (1, 0): I * _INV_SQRT2},
+}
 
 
 def normal_order(e: FreeExpression) -> LadderPolynomial:
     """Normal-order an expression over {a, a+, scalars}."""
-    words = e.expand()
-    for word in words:
-        for sym in word:
-            if sym in CANONICAL_SYMBOLS:
-                raise UnsupportedSymbolError(
-                    "normal_order takes ladder expressions; "
-                    "use substitute_ladder for Q/P input"
-                )
-    return _normal_order_ladder_words(words)
-
-
-_INV_SQRT2 = SQRT2.invert()
-# Q = (a + a+)/sqrt2,  P = (a - a+)/(sqrt2 i)
-_LADDER_IMAGE = {
-    Symbol.Q: ((Symbol.A, _INV_SQRT2), (Symbol.ADAG, _INV_SQRT2)),
-    Symbol.P: (
-        (Symbol.A, MINUS_I * _INV_SQRT2),
-        (Symbol.ADAG, I * _INV_SQRT2),
-    ),
-}
+    return LadderPolynomial(LadderOrdering.NORMAL, _evaluate(e, _LADDER_LEAVES, ONE))
 
 
 def substitute_ladder(e: FreeExpression) -> LadderPolynomial:
     """Rewrite a {Q, P} expression in normal-ordered ladder form."""
-    expanded: list[tuple[Word, ExactScalar]] = []
-    for word, coeff in e.expand().items():
-        partial: dict[Word, ExactScalar] = {(): coeff}
-        for sym in word:
-            if sym not in _LADDER_IMAGE:
-                raise UnsupportedSymbolError(
-                    f"substitute_ladder expects Q/P input, got {sym.value!r}"
-                )
-            partial = collect(
-                (w + (target,), c * factor)
-                for w, c in partial.items()
-                for target, factor in _LADDER_IMAGE[sym]
-            )
-        expanded.extend(partial.items())
-    return _normal_order_ladder_words(collect(expanded))
+    return LadderPolynomial(LadderOrdering.NORMAL, _evaluate(e, _LADDER_IMAGE, ONE))
 
 
 def commutator(x: FreeExpression, y: FreeExpression) -> OrderedPolynomial:
@@ -503,8 +529,6 @@ def canonical_pq(p: OrderedPolynomial) -> OrderedPolynomial:
     """Funnel any tag to the canonical P-Q form."""
     if p.ordering is Ordering.PQ:
         return p
-    if p.ordering is Ordering.QP:
-        return rewrite_to_pq(to_expression(p))
     from . import ordering as _ordering  # deferred: avoids import cycle
 
     return _ordering.convert(p, Ordering.PQ)

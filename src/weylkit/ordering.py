@@ -1,12 +1,15 @@
 """Closed-form conversions among Weyl, P-Q and Q-P operator orderings.
 
 All six monomial conversion maps are literally one generator,
-:func:`_conversion_terms`, of the coefficient family
+:func:`weylkit.opalg._conversion_terms`, of the coefficient family
 
     sum over l of f^l l! C(m,l) C(r,l) * Q^(m-l) P^(r-l),
 
 with the factor f read by source and target tag from ``_FACTORS``:
 +-i/2 to or from Weyl form, +-i between the two word orders.  The
+generator lives in :mod:`weylkit.opalg` beside :func:`weylkit.opalg._product`,
+the package's one polynomial product, which reorders by the same family;
+:class:`CommutativePoly2` multiplies through it with f = 0.  The
 closed-form commutators, :func:`convert`, the (P+Q)^n expansions and the
 symbolic phase-space transform in :mod:`weylkit.phasexform` are sums
 over the same generator, each accumulated by one
@@ -18,7 +21,7 @@ symbolically, over Q(i, sqrt2)) and their exact agreement is part of
 the test suite, so :func:`hermite_two_var` keeps its own factorial
 formula.  Everything here is a pure function over exact scalars, so
 conversions can be cross-checked bit-for-bit against the brute-force
-rewriting in :mod:`weylkit.opalg`.
+rewriting oracle in :mod:`weylkit.opalg`, which shares none of this code.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .exactnum import ExactScalar, I, I_HALF, MINUS_I, ONE, SQRT2
+from .exactnum import ExactScalar, I, I_HALF, MINUS_I, ONE, SQRT2, ZERO
 from .opalg import (
     FreeExpression,
     OrderedPolynomial,
@@ -39,6 +42,8 @@ from .opalg import (
     Q,
     ScalarNode,
     SumNode,
+    _conversion_terms,
+    _product,
     collect,
 )
 
@@ -74,19 +79,7 @@ class CommutativePoly2:
         )
 
     def __mul__(self, other: CommutativePoly2) -> CommutativePoly2:
-        out: list[tuple[tuple[int, int], ExactScalar]] = []
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                out.append(((i1 + i2, j1 + j2), c1 * c2))
-        return CommutativePoly2.from_terms(out)
-
-    def __pow__(self, n: int) -> CommutativePoly2:
-        if n == 0:
-            return CommutativePoly2.monomial(0, 0)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+        return CommutativePoly2(_product(self.terms, other.terms, ZERO))
 
     def scale(self, factor: ExactScalar) -> CommutativePoly2:
         if factor.is_zero():
@@ -132,17 +125,6 @@ def hermite_two_var(m: int, r: int) -> CommutativePoly2:
         den = math.factorial(l) * math.factorial(m - l) * math.factorial(r - l)
         terms.append(((m - l, r - l), ExactScalar.rational(num, den)))
     return CommutativePoly2.from_terms(terms)
-
-
-def _conversion_terms(
-    m: int, r: int, factor: ExactScalar
-) -> Iterator[tuple[tuple[int, int], ExactScalar]]:
-    """((m-l, r-l), factor^l l! C(m,l) C(r,l)) for l = 0..min(m,r)."""
-    power = ONE
-    for l in range(min(m, r) + 1):
-        count = math.factorial(l) * math.comb(m, l) * math.comb(r, l)
-        yield (m - l, r - l), ExactScalar.from_int(count) * power
-        power = power * factor
 
 
 # Factor of the coefficient family for each (source, target) tag pair.

@@ -37,7 +37,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exactnum import ExactScalar, I_HALF, MINUS_I
-from .ordering import MINUS_I_HALF, CommutativePoly2, _conversion_terms
+from .opalg import _conversion_terms
+from .ordering import MINUS_I_HALF, CommutativePoly2
 
 BOUNDARY_DECAY = 1e-10
 _CHIRP_ROWS = 128

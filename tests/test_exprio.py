@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit import ordering as conv
+from weylkit import exprio, ordering as conv
 from weylkit.exactnum import SQRT2, ExactScalar, I, ONE
 from weylkit.exprio import (
     MAX_NESTING,
@@ -257,6 +257,15 @@ _REFERENCE_SCALARS = {
 }
 
 
+def _reference_product(x: CommutativePoly2, y: CommutativePoly2) -> CommutativePoly2:
+    """Commutative product by its own loop, x's terms outer, y's inner."""
+    return CommutativePoly2.from_terms(
+        ((i1 + i2, j1 + j2), c1 * c2)
+        for (i1, j1), c1 in x.terms.items()
+        for (i2, j2), c2 in y.terms.items()
+    )
+
+
 class _ReferenceBlock:
     """The block grammar as its own recursive descent, building the
     commutative value while it parses, to check the parser's fold of
@@ -289,7 +298,7 @@ class _ReferenceBlock:
         total = self.unary()
         while self.peek() == "star":
             self.advance()
-            total = total * self.unary()
+            total = _reference_product(total, self.unary())
         return total
 
     def unary(self) -> CommutativePoly2:
@@ -302,7 +311,10 @@ class _ReferenceBlock:
         base = self.primary()
         if self.peek() == "caret":
             self.advance()
-            return base ** int(self.advance().text)
+            out = CommutativePoly2.monomial(0, 0)
+            for index in range(int(self.advance().text)):
+                out = _reference_product(out, base) if index else base
+            return out
         return base
 
     def primary(self) -> CommutativePoly2:
@@ -355,6 +367,33 @@ def test_block_fold_matches_reference_grammar(body, tag):
     assert poly.ordering.value == tag
     got = [((mon.m, mon.r), coeff) for mon, coeff in poly.terms.items()]
     assert got == _reference_block(body), body
+
+
+def test_each_block_body_is_evaluated_once(monkeypatch):
+    calls = []
+    evaluate = exprio._evaluate
+
+    def counted(*args):
+        calls.append(args[0])
+        return evaluate(*args)
+
+    def refused(*args):
+        raise AssertionError("a lone block needs no word form")
+
+    monkeypatch.setattr(exprio, "_evaluate", counted)
+    for text, count in (
+        ("pq{(Q+P+1)^4} + Q", 1),
+        ("Q + pq{(Q+P+1)^4}", 1),
+        ("qp{Q} * weyl{P} - pq{1}", 3),
+    ):
+        calls.clear()
+        assert isinstance(parse(text), FreeExpression)
+        assert len(calls) == count, text
+    monkeypatch.setattr(exprio, "to_expression", refused)
+    monkeypatch.setattr(exprio._conv, "convert", refused)
+    calls.clear()
+    assert parse("weyl{(Q+P+1)^4}").ordering is Ordering.WEYL
+    assert len(calls) == 1
 
 
 def test_block_rules_end_at_the_closing_brace():

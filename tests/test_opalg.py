@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.exactnum import ExactScalar, I, MINUS_I, ONE, SQRT2
+from weylkit.exactnum import ZERO, ExactScalar, I, MINUS_I, ONE, SQRT2
 from weylkit.opalg import (
     A,
     ADAG,
@@ -17,6 +17,8 @@ from weylkit.opalg import (
     ScalarNode,
     Symbol,
     UnsupportedSymbolError,
+    _evaluate,
+    _product,
     _rewrite_word,
     commutator,
     normal_order,
@@ -213,3 +215,71 @@ def test_adjoint_flips_tag():
         Monomial(2, 1): ONE,
         Monomial(1, 0): MINUS_I * ExactScalar.from_int(2),
     }
+
+
+_QP_LEAVES = {Symbol.Q: {(1, 0): ONE}, Symbol.P: {(0, 1): ONE}}
+_NODES = {Symbol.Q: Q, Symbol.P: P, Symbol.A: A, Symbol.ADAG: ADAG}
+
+
+def _word_node(word):
+    return ProductNode(tuple(_NODES[sym] for sym in word))
+
+
+def test_normal_order_matches_rewriting_on_every_word():
+    for word in all_words(8, alphabet=(Symbol.A, Symbol.ADAG)):
+        want, _ = _rewrite_word(word, Symbol.ADAG, Symbol.A, ONE)
+        # _rewrite_word keys (#a, #a+); ladder terms are keyed (#a+, #a).
+        want = {(n_adag, n_a): c for (n_a, n_adag), c in want.items()}
+        assert normal_order(_word_node(word)).terms == want, word
+
+
+def test_qp_product_matches_rewriting_on_every_word():
+    for word in all_words(8):
+        got = _evaluate(_word_node(word), _QP_LEAVES, MINUS_I)
+        assert got == terms(rewrite_to_qp(_word_node(word))), word
+    for m1, r1, m2, r2 in itertools.product(range(5), repeat=4):
+        if m1 + r1 + m2 + r2 > 8:
+            continue
+        got = _product({(m1, r1): ONE}, {(m2, r2): ONE}, MINUS_I)
+        word = (Q,) * m1 + (P,) * r1 + (Q,) * m2 + (P,) * r2
+        assert got == terms(rewrite_to_qp(ProductNode(word))), (m1, r1, m2, r2)
+
+
+qp_polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=4
+).map(lambda t: {key: c for key, c in t.items() if not c.is_zero()})
+
+
+@given(qp_polynomials, qp_polynomials)
+@settings(max_examples=60, deadline=None)
+def test_qp_product_of_polynomials_matches_rewriting(x, y):
+    words = [
+        to_expression(OrderedPolynomial.from_terms(Ordering.QP, t.items()))
+        for t in (x, y)
+    ]
+    assert _product(x, y, MINUS_I) == terms(rewrite_to_qp(words[0] * words[1]))
+
+
+def test_product_edge_cases():
+    unit = {(0, 0): ONE}
+    assert normal_order(ProductNode(())).terms == unit
+    assert substitute_ladder(ProductNode(())).terms == unit
+    assert normal_order(ADAG**0).terms == unit
+    assert substitute_ladder(Q**0 * P).terms == substitute_ladder(P).terms
+    assert normal_order(scalar(0) * A * ADAG).is_zero()
+    assert normal_order(scalar(0)).is_zero()
+    assert _product({}, {(1, 2): ONE}, ONE) == {}
+    assert _product({(1, 0): ONE}, {(0, 1): ONE}, ZERO) == {(1, 1): ONE}
+
+
+def test_symbols_outside_the_algebra_are_refused_under_zero():
+    # Refused wherever they stand, not only where they survive expansion.
+    for call, expr in (
+        (normal_order, scalar(0) * Q),
+        (normal_order, Q**0),
+        (normal_order, A + scalar(0) * P**3),
+        (substitute_ladder, scalar(0) * A),
+        (substitute_ladder, ADAG**0 * Q),
+    ):
+        with pytest.raises(UnsupportedSymbolError):
+            call(expr)
