@@ -3,18 +3,21 @@
 Every coefficient produced by the ordering conversions lives in the
 Gaussian rationals, optionally times sqrt(2) (the ladder-operator
 substitution is the only source of sqrt(2) factors).  A scalar is stored
-as four reduced rationals (ra, ia, rb, ib) meaning
+as one tuple of integers (a, b, c, d, den) meaning
 
-    (ra + ia*i) + (rb + ib*i) * sqrt(2)
+    (a + b*i + (c + d*i) * sqrt(2)) / den
 
-which is a unique representation because {1, i, sqrt2, i*sqrt2} are
-linearly independent over Q.  All operations are pure and values are
-immutable, so they are safe to share between threads.
+in canonical form: den > 0 and gcd(a, b, c, d, den) = 1, so zero is
+(0, 0, 0, 0, 1).  The form is unique because {1, i, sqrt2, i*sqrt2} are
+linearly independent over Q, so equality and hashing compare tuples.
+All operations are pure and values are immutable, so they are safe to
+share between threads.
 
-The ring operations run on Python integers: each operand is read as four
-integer numerators over one common denominator (the lcm of its four), so
-a product is 16 integer products over one denominator, and each nonzero
-result component is reduced once, by a single ``Fraction(n, den)``.
+The ring operations run on Python integers only: a product is 16 integer
+products over den1*den2, a sum brings both numerator sets to one common
+denominator, and each result is reduced by a single five-way gcd.  The
+rational components ra, ia, rb and ib (the dataclass fields, in the
+repr) are read-only ``Fraction`` views of the tuple, built on demand.
 """
 
 from __future__ import annotations
@@ -22,43 +25,90 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 #: Reduced rational numbers (positive denominator, gcd-free) with
 #: unbounded integer components.  The stdlib type maintains exactly the
 #: invariants required here.
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO_TUPLE = (0, 0, 0, 0, 1)
 
 
 class ExactArithmeticError(ArithmeticError):
     """Raised on domain errors such as inverting zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ExactScalar:
-    """Element of Q(i, sqrt2), stored componentwise in lowest terms."""
+    """Element of Q(i, sqrt2): (a + b*i + (c + d*i)*sqrt2) / den, canonical.
 
-    ra: Fraction = _ZERO
-    ia: Fraction = _ZERO
-    rb: Fraction = _ZERO
-    ib: Fraction = _ZERO
+    ``ExactScalar(ra, ia, rb, ib)`` takes the four rational components,
+    as ``int`` or ``Fraction``.
+    """
+
+    __slots__ = ("_t",)
+
+    # The fields are views of ``_t``; dataclasses takes each property for
+    # the field's default, which the hand-written __init__ never uses.
+    ra: Fraction = property(lambda self: Fraction(self._t[0], self._t[4]))
+    ia: Fraction = property(lambda self: Fraction(self._t[1], self._t[4]))
+    rb: Fraction = property(lambda self: Fraction(self._t[2], self._t[4]))
+    ib: Fraction = property(lambda self: Fraction(self._t[3], self._t[4]))
+
+    def __init__(self, ra=0, ia=0, rb=0, ib=0) -> None:
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so the tuple is canonical without a gcd.
+        parts = [Fraction(x) for x in (ra, ia, rb, ib)]
+        den = math.lcm(*(x.denominator for x in parts))
+        _store(
+            self,
+            tuple(x.numerator * (den // x.denominator) for x in parts) + (den,),
+        )
 
     # -- constructors ------------------------------------------------
 
+    # Both build the tuple directly from ints; any other rational
+    # argument (such as a Fraction) takes the general constructor.
+
     @classmethod
     def from_int(cls, n: int) -> ExactScalar:
-        return cls(Fraction(n))
+        if type(n) is int:
+            return _make((n, 0, 0, 0, 1))
+        return cls(n)
 
     @classmethod
     def rational(cls, num: int, den: int = 1) -> ExactScalar:
-        return cls(Fraction(num, den))
+        if type(num) is not int or type(den) is not int:
+            return cls(Fraction(num, den))
+        if not den:
+            raise ZeroDivisionError(f"rational {num}/0")
+        if den < 0:
+            num, den = -num, -den
+        return _reduced(num, 0, 0, 0, den)
+
+    @property
+    def canonical(self) -> tuple[int, int, int, int, int]:
+        """The stored integers (a, b, c, d, den)."""
+        return self._t
+
+    # -- equality ----------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is ExactScalar:
+            return self._t == other._t
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._t)
+
+    def __reduce__(self):
+        return ExactScalar, (self.ra, self.ia, self.rb, self.ib)
 
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.ra or self.ia or self.rb or self.ib)
+        return self._t == _ZERO_TUPLE
 
     # -- ring operations ---------------------------------------------
 
@@ -66,40 +116,46 @@ class ExactScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _combine(self, other, 1)
+        return _combine(self._t, other._t, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> ExactScalar:
-        return ExactScalar(-self.ra, -self.ia, -self.rb, -self.ib)
+        a, b, c, d, den = self._t
+        return _make((-a, -b, -c, -d, den))
 
     def __sub__(self, other: ExactScalar | int) -> ExactScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _combine(self, other, -1)
+        return _combine(self._t, other._t, -1)
 
     def __rsub__(self, other: ExactScalar | int) -> ExactScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _combine(other, self, -1)
+        return _combine(other._t, self._t, -1)
 
     def __mul__(self, other: ExactScalar | int) -> ExactScalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        # ((a + b*i) + (c + d*i)*sqrt2) * ((e + f*i) + (g + h*i)*sqrt2),
-        # numerators over den1 and den2 respectively.
-        a, b, c, d, den1 = _numerators(self)
-        e, f, g, h, den2 = _numerators(other)
-        return _from_numerators(
-            a * e - b * f + 2 * (c * g - d * h),
-            a * f + b * e + 2 * (c * h + d * g),
-            a * g - b * h + c * e - d * f,
-            a * h + b * g + c * f + d * e,
-            den1 * den2,
-        )
+        if other.__class__ is ExactScalar:
+            # ((a + b*i) + (c + d*i)*sqrt2) * ((e + f*i) + (g + h*i)*sqrt2)
+            # over den1 * den2.
+            a, b, c, d, den1 = self._t
+            e, f, g, h, den2 = other._t
+            return _reduced(
+                a * e - b * f + 2 * (c * g - d * h),
+                a * f + b * e + 2 * (c * h + d * g),
+                a * g - b * h + c * e - d * f,
+                a * h + b * g + c * f + d * e,
+                den1 * den2,
+            )
+        if isinstance(other, int):
+            # 4 products; gcd(n, den) is the only common factor left.
+            a, b, c, d, den = self._t
+            g = gcd(other, den)
+            n = other // g
+            return _make((n * a, n * b, n * c, n * d, den // g))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -107,14 +163,19 @@ class ExactScalar:
         """Multiplicative inverse; raises on zero."""
         if self.is_zero():
             raise ExactArithmeticError("cannot invert zero")
-        # Clear sqrt2 by the conjugate A - B*sqrt2, then clear i by the
-        # Gaussian conjugate; both denominators are nonzero because the
-        # representation is unique.
-        conj = ExactScalar(self.ra, self.ia, -self.rb, -self.ib)
-        norm = self * conj  # lands in Q(i): rb = ib = 0
-        den = norm.ra * norm.ra + norm.ia * norm.ia
-        inv_norm = ExactScalar(norm.ra / den, -norm.ia / den)
-        return conj * inv_norm
+        a, b, c, d, den = self._t
+        # x = (A + B*sqrt2)/den with Gaussian integers A, B; then
+        # 1/x = den*(A - B*sqrt2)*conj(N)/|N|^2 with N = A^2 - 2*B^2,
+        # which is nonzero because the representation is unique.
+        nr = a * a - b * b - 2 * (c * c - d * d)
+        ni = 2 * (a * b - 2 * c * d)
+        return _reduced(
+            den * (a * nr + b * ni),
+            den * (b * nr - a * ni),
+            -den * (c * nr + d * ni),
+            -den * (d * nr - c * ni),
+            nr * nr + ni * ni,
+        )
 
     def __truediv__(self, other: ExactScalar | int) -> ExactScalar:
         other = _coerce(other)
@@ -137,37 +198,44 @@ class ExactScalar:
 
     def conjugate(self) -> ExactScalar:
         """Complex conjugation: fixes sqrt2, maps i to -i."""
-        return ExactScalar(self.ra, -self.ia, self.rb, -self.ib)
+        a, b, c, d, den = self._t
+        return _make((a, -b, c, -d, den))
 
     # -- numeric bridge ----------------------------------------------
 
     def to_complex(self) -> complex:
         """Double-precision value, accurate to a few ulp."""
-        re = float(self.ra) + float(self.rb) * math.sqrt(2.0)
-        im = float(self.ia) + float(self.ib) * math.sqrt(2.0)
+        # int / int rounds correctly, so a / den is float(Fraction(a, den)).
+        a, b, c, d, den = self._t
+        re = a / den + c / den * math.sqrt(2.0)
+        im = b / den + d / den * math.sqrt(2.0)
         return complex(re, im)
 
     # -- canonical text ----------------------------------------------
 
+    def component_texts(self) -> tuple[str, str, str, str]:
+        """``str`` of ra, ia, rb and ib, without building the Fractions."""
+        den = self._t[4]
+        out = []
+        for n in self._t[:4]:
+            g = gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return tuple(out)
+
     def render(self) -> str:
         """Canonical rendering, e.g. ``1/2 + -1/2*i`` or ``r2``."""
         parts = []
-        for value, tag in (
-            (self.ra, ""),
-            (self.ia, "i"),
-            (self.rb, "r2"),
-            (self.ib, "i*r2"),
-        ):
-            if value == 0:
+        for text, tag in zip(self.component_texts(), ("", "i", "r2", "i*r2")):
+            if text == "0":
                 continue
             if not tag:
-                parts.append(str(value))
-            elif value == 1:
+                parts.append(text)
+            elif text == "1":
                 parts.append(tag)
-            elif value == -1:
+            elif text == "-1":
                 parts.append("-" + tag)
             else:
-                parts.append(f"{value}*{tag}")
+                parts.append(f"{text}*{tag}")
         if not parts:
             return "0"
         return " + ".join(parts)
@@ -176,50 +244,45 @@ class ExactScalar:
         return self.render()
 
 
-def _numerators(x: ExactScalar) -> tuple[int, int, int, int, int]:
-    """x's components as integer numerators over the lcm of their denominators."""
-    ra, ia, rb, ib = x.ra, x.ia, x.rb, x.ib
-    d0, d1, d2, d3 = ra.denominator, ia.denominator, rb.denominator, ib.denominator
-    den = math.lcm(d0, d1, d2, d3)
-    return (
-        ra.numerator * (den // d0),
-        ia.numerator * (den // d1),
-        rb.numerator * (den // d2),
-        ib.numerator * (den // d3),
-        den,
-    )
+_new = object.__new__
+_store = ExactScalar._t.__set__
 
 
-def _from_numerators(n0: int, n1: int, n2: int, n3: int, den: int) -> ExactScalar:
-    """The scalar (n0 + n1*i + (n2 + n3*i)*sqrt2) / den, reduced componentwise."""
-    return ExactScalar(
-        Fraction(n0, den) if n0 else _ZERO,
-        Fraction(n1, den) if n1 else _ZERO,
-        Fraction(n2, den) if n2 else _ZERO,
-        Fraction(n3, den) if n3 else _ZERO,
-    )
+def _make(t: tuple[int, int, int, int, int]) -> ExactScalar:
+    """Wrap an already canonical tuple."""
+    x = _new(ExactScalar)
+    _store(x, t)
+    return x
 
 
-def _combine(x: ExactScalar, y: ExactScalar, sign: int) -> ExactScalar:
-    """x + sign*y for sign in {1, -1}."""
-    a, b, c, d, den1 = _numerators(x)
-    e, f, g, h, den2 = _numerators(y)
+def _reduced(n0: int, n1: int, n2: int, n3: int, den: int) -> ExactScalar:
+    """The scalar (n0 + n1*i + (n2 + n3*i)*sqrt2) / den for den > 0."""
+    g = gcd(n0, n1, n2, n3, den)
+    if g != 1:
+        n0, n1, n2, n3, den = n0 // g, n1 // g, n2 // g, n3 // g, den // g
+    return _make((n0, n1, n2, n3, den))
+
+
+def _combine(x: tuple, y: tuple, sign: int) -> ExactScalar:
+    """x + sign*y for canonical tuples x, y and sign in {1, -1}."""
+    a, b, c, d, den1 = x
+    e, f, g, h, den2 = y
     if den1 != den2:
-        den = math.lcm(den1, den2)
-        s1, s2 = den // den1, den // den2
+        common = gcd(den1, den2)
+        s1, s2 = den2 // common, den1 // common
         a, b, c, d = a * s1, b * s1, c * s1, d * s1
         e, f, g, h = e * s2, f * s2, g * s2, h * s2
-        den1 = den
-    return _from_numerators(
-        a + sign * e, b + sign * f, c + sign * g, d + sign * h, den1
-    )
+        den1 *= s1
+    if sign < 0:
+        return _reduced(a - e, b - f, c - g, d - h, den1)
+    return _reduced(a + e, b + f, c + g, d + h, den1)
 
 
 def _coerce(value: ExactScalar | int) -> ExactScalar | None:
     if isinstance(value, ExactScalar):
         return value
     if isinstance(value, int):
-        return ExactScalar(Fraction(value))
+        return _make((value, 0, 0, 0, 1))
     return None
 
 
@@ -237,7 +300,7 @@ def parse_scalar(text: str) -> ExactScalar:
         if negative:
             part = part[1:].strip()
         factors = part.split("*")
-        value = _ONE
+        value = Fraction(1)
         has_i = False
         has_r2 = False
         for factor in factors:
@@ -257,11 +320,11 @@ def parse_scalar(text: str) -> ExactScalar:
         if not has_i and not has_r2:
             comp = ExactScalar(value)
         elif has_i and not has_r2:
-            comp = ExactScalar(_ZERO, value)
+            comp = ExactScalar(0, value)
         elif not has_i and has_r2:
-            comp = ExactScalar(_ZERO, _ZERO, value)
+            comp = ExactScalar(0, 0, value)
         else:
-            comp = ExactScalar(_ZERO, _ZERO, _ZERO, value)
+            comp = ExactScalar(0, 0, 0, value)
         total = total + comp
     return total
 
@@ -278,11 +341,11 @@ def i_power(k: int) -> ExactScalar:
     return MINUS_I
 
 
-ZERO = ExactScalar()
-ONE = ExactScalar(_ONE)
-MINUS_ONE = ExactScalar(-_ONE)
-I = ExactScalar(_ZERO, _ONE)
-MINUS_I = ExactScalar(_ZERO, -_ONE)
-SQRT2 = ExactScalar(_ZERO, _ZERO, _ONE)
-HALF = ExactScalar(Fraction(1, 2))
-I_HALF = ExactScalar(_ZERO, Fraction(1, 2))
+ZERO = _make(_ZERO_TUPLE)
+ONE = ExactScalar.from_int(1)
+MINUS_ONE = ExactScalar.from_int(-1)
+I = ExactScalar(0, 1)
+MINUS_I = ExactScalar(0, -1)
+SQRT2 = ExactScalar(0, 0, 1)
+HALF = ExactScalar.rational(1, 2)
+I_HALF = ExactScalar(0, Fraction(1, 2))

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ordering as _conv
-from .exactnum import ExactScalar, I, ONE, SQRT2, ZERO
+from .exactnum import MINUS_ONE, ExactScalar, I, ONE, SQRT2, ZERO
 from .opalg import (
     FreeExpression,
     Monomial,
@@ -196,8 +195,9 @@ def tokenize(text: str) -> list[Token]:
 
 
 def _rational_value(token: Token) -> ExactScalar:
+    num, _, den = token.text.partition("/")
     try:
-        return ExactScalar(Fraction(token.text))
+        return ExactScalar.rational(int(num), int(den))
     except ZeroDivisionError:
         raise ParseError(
             "rational literal has zero denominator", token.span
@@ -305,7 +305,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return ScalarNode(ExactScalar(Fraction(int(token.text))))
+            return ScalarNode(ExactScalar.from_int(int(token.text)))
         if token.kind == "rational":
             self.advance()
             return ScalarNode(_rational_value(token))
@@ -379,7 +379,7 @@ def parse(text: str) -> FreeExpression | OrderedPolynomial:
 
 
 def _component_count(value: ExactScalar) -> int:
-    return sum(1 for f in (value.ra, value.ia, value.rb, value.ib) if f != 0)
+    return sum(1 for n in value.canonical[:4] if n)
 
 
 def _word_text(mon: Monomial, tag: Ordering) -> str:
@@ -399,7 +399,7 @@ def _term_text(mon: Monomial, coeff: ExactScalar, tag: Ordering) -> str:
         return f"({text})" if _component_count(coeff) > 1 else text
     if coeff == ONE:
         return word
-    if coeff == ExactScalar.from_int(-1):
+    if coeff == MINUS_ONE:
         return "-" + word
     if _component_count(coeff) > 1:
         return f"({coeff.render()})*{word}"
@@ -428,12 +428,7 @@ def render(p: OrderedPolynomial) -> str:
 
 
 def scalar_to_json(value: ExactScalar) -> dict:
-    return {
-        "ra": str(value.ra),
-        "ia": str(value.ia),
-        "rb": str(value.rb),
-        "ib": str(value.ib),
-    }
+    return dict(zip(("ra", "ia", "rb", "ib"), value.component_texts()))
 
 
 def polynomial_to_json(p: OrderedPolynomial) -> dict:

@@ -99,7 +99,7 @@ def _conversion_terms(
     for l in range(1, min(m, r) + 1):
         power = power * factor
         count = math.factorial(l) * math.comb(m, l) * math.comb(r, l)
-        yield (m - l, r - l), ExactScalar.from_int(count) * power
+        yield (m - l, r - l), count * power
 
 
 def _product(x: Mapping, y: Mapping, f: ExactScalar) -> dict:
@@ -438,8 +438,7 @@ def _rewrite_word(
         k = (len(text) - sum(key)) // 2
         while len(powers) <= k:
             powers.append(powers[-1] * correction)
-        c = powers[k]  # scaled componentwise: 4 products, not 16
-        out[key] = ExactScalar(n * c.ra, n * c.ia, n * c.rb, n * c.ib)
+        out[key] = n * powers[k]  # an int scale: 4 products, not 16
     return out, longest_chain
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Mapping
 
@@ -248,7 +247,7 @@ def weyl_symmetrization(m: int, r: int) -> FreeExpression:
     """
     parts = []
     for l in range(m + 1):
-        coeff = ExactScalar(Fraction(math.comb(m, l), 2**m))
+        coeff = ExactScalar.rational(math.comb(m, l), 2**m)
         word = (Q,) * (m - l) + (P,) * r + (Q,) * l
         node = ProductNode(word) if word else ScalarNode(ONE)
         parts.append(ScalarNode(coeff) * node)

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -219,3 +221,118 @@ def test_dataclass_replace_keeps_working():
     assert y == ExactScalar(Fraction(1, 2), Fraction(2), Fraction(-1, 6))
     assert y * SQRT2 == _reference_mul(y, SQRT2)
     assert y + x == _reference_add(y, x)
+
+
+# -- canonical form -----------------------------------------------------
+
+
+def _assert_canonical(x: ExactScalar) -> None:
+    *nums, den = x.canonical
+    assert all(type(n) is int for n in x.canonical)
+    assert den > 0
+    assert math.gcd(*nums, den) == 1
+    if x.is_zero():
+        assert x.canonical == (0, 0, 0, 0, 1)
+
+
+@given(any_scalars, any_scalars, st.integers(-4, 4), st.integers(-30, 30))
+@settings(max_examples=300)
+def test_every_operation_returns_canonical_form(x, y, k, n):
+    results = [x, x + y, x - y, x * y, -x, x.conjugate(), n * x, x * n, n - x, x + n]
+    if not x.is_zero():
+        results += [x.invert(), x**k, y / x]
+    elif k >= 0:
+        results.append(x**k)
+    if n:
+        results.append(x / n)
+    for value in results:
+        _assert_canonical(value)
+    _assert_canonical(x - x)
+    assert (x - x).canonical == (0, 0, 0, 0, 1)
+    assert (x * 0).canonical == (0, 0, 0, 0, 1)
+
+
+def test_canonical_form_examples():
+    assert ZERO.canonical == (0, 0, 0, 0, 1)
+    assert ExactScalar(Fraction(1, 2), Fraction(-1, 3)).canonical == (3, -2, 0, 0, 6)
+    assert ExactScalar.rational(2, -4).canonical == (-1, 0, 0, 0, 2)
+    assert (ExactScalar.rational(1, 2) + ExactScalar.rational(1, 2)).canonical == (
+        1, 0, 0, 0, 1
+    )
+    with pytest.raises(ZeroDivisionError):
+        ExactScalar.rational(1, 0)
+
+
+def test_equal_rationals_built_three_ways():
+    routes = [
+        ExactScalar(Fraction(2, 6)),
+        ExactScalar.rational(1, 3),
+        ExactScalar.from_int(1) / 3,
+        ExactScalar.rational(-2, -6),
+    ]
+    for value in routes:
+        assert value == routes[0]
+        assert hash(value) == hash(routes[0])
+        assert value.canonical == (1, 0, 0, 0, 3)
+
+
+def test_int_arguments_equal_fraction_arguments():
+    assert ExactScalar(1, 2) == ExactScalar(Fraction(1), Fraction(2))
+    assert ExactScalar(0, 0, 3, -4) == ExactScalar(
+        Fraction(0), Fraction(0), Fraction(3), Fraction(-4)
+    )
+    assert ExactScalar(1, Fraction(1, 2)).canonical == (2, 1, 0, 0, 2)
+    assert type(ExactScalar(1, 2).ra) is Fraction
+
+
+def test_integer_constructors_accept_fractions():
+    half = ExactScalar(Fraction(1, 2))
+    assert ExactScalar.from_int(Fraction(1, 2)) == half
+    assert hash(ExactScalar.from_int(Fraction(1, 2))) == hash(half)
+    assert ExactScalar.rational(Fraction(1, 2), 3) == ExactScalar(Fraction(1, 6))
+    assert ExactScalar.rational(3, Fraction(-1, 2)).canonical == (-6, 0, 0, 0, 1)
+    for value in (
+        ExactScalar.from_int(Fraction(4, 2)),
+        ExactScalar.rational(Fraction(1, 2), 3),
+    ):
+        _assert_canonical(value)
+    with pytest.raises(ZeroDivisionError):
+        ExactScalar.rational(Fraction(1, 2), 0)
+
+
+@given(any_scalars)
+@settings(max_examples=100)
+def test_copy_and_pickle_round_trip(x):
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert clone == x
+        assert hash(clone) == hash(x)
+        assert repr(clone) == repr(x)
+        _assert_canonical(clone)
+
+
+def test_scalars_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ONE.ra = Fraction(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ONE._t = (2, 0, 0, 0, 1)
+    assert ONE == ExactScalar.from_int(1)
+
+
+def test_repr_shows_the_four_fractions():
+    x = ExactScalar(Fraction(1, 2), 0, Fraction(-3, 4))
+    assert repr(x) == (
+        "ExactScalar(ra=Fraction(1, 2), ia=Fraction(0, 1), "
+        "rb=Fraction(-3, 4), ib=Fraction(0, 1))"
+    )
+
+
+@given(any_scalars)
+@settings(max_examples=150)
+def test_component_texts_and_complex_match_fractions(x):
+    parts = (x.ra, x.ia, x.rb, x.ib)
+    assert x.component_texts() == tuple(str(f) for f in parts)
+    want = complex(
+        float(x.ra) + float(x.rb) * math.sqrt(2.0),
+        float(x.ia) + float(x.ib) * math.sqrt(2.0),
+    )
+    assert x.to_complex() == want
