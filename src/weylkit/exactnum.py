@@ -347,5 +347,4 @@ MINUS_ONE = ExactScalar.from_int(-1)
 I = ExactScalar(0, 1)
 MINUS_I = ExactScalar(0, -1)
 SQRT2 = ExactScalar(0, 0, 1)
-HALF = ExactScalar.rational(1, 2)
 I_HALF = ExactScalar(0, Fraction(1, 2))

@@ -71,22 +71,6 @@ class FockMatrix:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "reliable_dim": self.reliable_dim,
-            "entries": [
-                [float(c.real), float(c.imag)] for c in self.data.ravel()
-            ],
-        }
-
-    def to_csv(self, path) -> None:
-        """Header `dim,reliable_dim`, then re,im entries row-major."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(f"{self.dim},{self.reliable_dim}\n")
-            for cell in self.data.ravel():
-                handle.write(f"{float(cell.real)!r},{float(cell.imag)!r}\n")
-
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -285,17 +269,12 @@ def _matrix_powers(mat: np.ndarray, top: int) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def wigner_function(
-    rho: FockMatrix | np.ndarray,
-    points,
-    p_axis: np.ndarray | None = None,
-) -> np.ndarray:
-    """Samples of Tr[rho * kernel(q, p)].
+def wigner_function(rho: FockMatrix | np.ndarray, q_axis, p_axis) -> np.ndarray:
+    """Samples of Tr[rho * kernel(q, p)] on the grid q_axis x p_axis.
 
-    Call either with a sequence of :class:`PhasePoint` (returns a 1-D
-    array in the same order) or with two grid axes (returns the (nq, np)
-    grid of samples).  The state must be Hermitian with unit trace
-    (checked to 1e-8).  Values are returned complex; they are real to
+    Returns the (len(q_axis), len(p_axis)) array of samples.  The state
+    must be Hermitian with unit trace (checked to 1e-8), and every
+    coordinate finite.  Values are returned complex; they are real to
     working precision for a valid state.
     """
     mat = rho.data if isinstance(rho, FockMatrix) else np.asarray(rho, complex)
@@ -306,22 +285,10 @@ def wigner_function(
     if abs(np.trace(mat) - 1.0) > 1e-8:
         raise ValueError("state must have unit trace (tolerance 1e-8)")
     dim = mat.shape[0]
-    grid_shape = None
-    if p_axis is None:
-        pts = list(points)
-        if not all(isinstance(pt, PhasePoint) for pt in pts):
-            raise ValueError(
-                "without a p axis, points must be PhasePoint instances"
-            )
-        qs = np.array([pt.q for pt in pts])
-        ps = np.array([pt.p for pt in pts])
-    else:
-        q_axis = np.asarray(points, dtype=float)
-        p_axis = np.asarray(p_axis, dtype=float)
-        qg, pg = np.meshgrid(q_axis, p_axis, indexing="ij")
-        qs, ps = qg.ravel(), pg.ravel()
-        grid_shape = (len(q_axis), len(p_axis))
-
+    qg, pg = np.meshgrid(
+        np.asarray(q_axis, float), np.asarray(p_axis, float), indexing="ij"
+    )
+    qs, ps = qg.ravel(), pg.ravel()
     if not (np.isfinite(qs).all() and np.isfinite(ps).all()):
         raise ValueError("phase-space coordinates must be finite")
 
@@ -335,7 +302,7 @@ def wigner_function(
         acc = total[part]
         for k, col in enumerate(_kernel_columns(qs[part], ps[part], dim)):
             acc += mat[k, k:] @ col + (mat[k + 1:, k].conj() @ col[1:]).conj()
-    return total if grid_shape is None else total.reshape(grid_shape)
+    return total.reshape(qg.shape)
 
 
 def hermite_functions(x: float, count: int) -> np.ndarray:

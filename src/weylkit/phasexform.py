@@ -190,31 +190,6 @@ class SampledField:
                 raise ValueError(f"line {idx + 2}: non-finite cell {data[idx]}")
         return cls(q_min, q_max, p_min, p_max, data.reshape(nq, np_))
 
-    def to_json(self) -> dict:
-        return {
-            "qmin": self.q_min,
-            "qmax": self.q_max,
-            "pmin": self.p_min,
-            "pmax": self.p_max,
-            "nq": self.nq,
-            "np": self.np_,
-            "values": [
-                [float(c.real), float(c.imag)] for c in self.values.ravel()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> SampledField:
-        values = np.array(
-            [complex(re, im) for re, im in doc["values"]], dtype=complex
-        ).reshape(int(doc["nq"]), int(doc["np"]))
-        return cls(
-            float(doc["qmin"]),
-            float(doc["qmax"]),
-            float(doc["pmin"]),
-            float(doc["pmax"]),
-            values,
-        )
 
 
 def _chirp_convolve(x: np.ndarray, m: int, c: float, shift: float) -> np.ndarray:

@@ -2,16 +2,18 @@
 
 Each suite returns a list of :class:`CheckResult` so the command line,
 the test suite and downstream harnesses all consume one implementation.
-Exact checks report max_error 0.0 on success and carry the computed and
-oracle renderings on failure; numeric checks report the measured error
-against the stated tolerance.
+Exact checks report max_error 0.0 on success.  A failing exact sweep
+names its first failing case, and carries the computed and oracle
+renderings when both sides are ordered polynomials.  Numeric checks
+report the measured error against the stated tolerance.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .opalg import (
     _pq_monomial_expression,
     _qp_monomial_expression,
     commutator,
-    poly_equal,
     rewrite_to_pq,
     rewrite_to_qp,
 )
@@ -45,19 +46,19 @@ class CheckResult:
     oracle: str | None = None
 
     def to_json(self) -> dict:
-        doc = {
+        """The check as JSON; a non-finite max_error is written as null."""
+        optional = {
+            "detail": self.detail or None,
+            "computed": self.computed,
+            "oracle": self.oracle,
+        }
+        return {
             "name": self.name,
             "passed": self.passed,
-            "max_error": self.max_error,
+            "max_error": self.max_error if math.isfinite(self.max_error) else None,
             "tolerance": self.tolerance,
+            **{k: v for k, v in optional.items() if v is not None},
         }
-        if self.detail:
-            doc["detail"] = self.detail
-        if self.computed is not None:
-            doc["computed"] = self.computed
-        if self.oracle is not None:
-            doc["oracle"] = self.oracle
-        return doc
 
 
 def _exact(name: str, computed: OrderedPolynomial, oracle: OrderedPolynomial) -> CheckResult:
@@ -72,7 +73,7 @@ def _exact(name: str, computed: OrderedPolynomial, oracle: OrderedPolynomial) ->
 
 
 def _numeric(name: str, error: float, tolerance: float, detail: str = "") -> CheckResult:
-    passed = error <= tolerance
+    passed = bool(error <= tolerance)
     return CheckResult(
         name,
         passed,
@@ -84,25 +85,28 @@ def _numeric(name: str, error: float, tolerance: float, detail: str = "") -> Che
     )
 
 
-def _sweep_check(
-    name: str,
-    bad,
-    where: str = "failure at",
-    computed: OrderedPolynomial | None = None,
-    oracle: OrderedPolynomial | None = None,
-) -> CheckResult:
-    """Result of an exact sweep: passed when ``bad``, the failing case
-    the sweep recorded, is None; otherwise ``where`` that case is."""
-    if bad is None:
-        return CheckResult(name, True)
-    return CheckResult(
-        name,
-        False,
-        math.inf,
-        detail=f"{where} {bad}",
-        computed=None if computed is None else exprio.render(computed),
-        oracle=None if oracle is None else exprio.render(oracle),
-    )
+def _sweep(name: str, cases, pairs) -> CheckResult:
+    """Exact check over ``cases``: ``pairs(*case)`` yields (computed,
+    oracle) pairs, and the first case where a pair's terms differ fails
+    the check.  Both sides are rendered when both are ordered polynomials."""
+    for case in cases:
+        for got, want in pairs(*case):
+            if got.terms != want.terms:
+                shown = all(isinstance(x, OrderedPolynomial) for x in (got, want))
+                return CheckResult(
+                    name,
+                    False,
+                    math.inf,
+                    detail=f"first failure at {case if len(case) > 1 else case[0]}",
+                    computed=exprio.render(got) if shown else None,
+                    oracle=exprio.render(want) if shown else None,
+                )
+    return CheckResult(name, True)
+
+
+def _grid(top: int):
+    """Exponent pairs (m, r) with m, r <= top."""
+    return itertools.product(range(top + 1), repeat=2)
 
 
 # ---------------------------------------------------------------------------
@@ -112,223 +116,144 @@ def _sweep_check(
 
 def suite_orderings(max_degree: int = 6) -> list[CheckResult]:
     """Closed-form conversions against brute-force rewriting oracles."""
-    checks: list[CheckResult] = []
-    span = range(max_degree + 1)
-
-    worst_pq = worst_qp = None
-    for m in span:
-        for r in span:
-            got = conv.qp_to_pq(m, r)
-            want = rewrite_to_pq(_qp_monomial_expression(m, r))
-            if got.terms != want.terms and worst_pq is None:
-                worst_pq = ((m, r), got, want)
-            got2 = conv.pq_to_qp(m, r)
-            want2 = rewrite_to_qp(_pq_monomial_expression(m, r))
-            if got2.terms != want2.terms and worst_qp is None:
-                worst_qp = ((m, r), got2, want2)
-    for label, worst in (("qp_to_pq", worst_pq), ("pq_to_qp", worst_qp)):
-        bad, got, want = worst or (None, None, None)
-        checks.append(
-            _sweep_check(
-                f"{label} equals rewriting, m,r <= {max_degree}",
-                bad,
-                "first failure at",
-                got,
-                want,
-            )
-        )
-
-    bad_sym = None
-    for m in span:
-        for r in span:
-            sym = conv.weyl_symmetrization(m, r)
-            if conv.weyl_to_pq(m, r).terms != rewrite_to_pq(sym).terms:
-                bad_sym = (m, r)
-                break
-            if conv.weyl_to_qp(m, r).terms != rewrite_to_qp(sym).terms:
-                bad_sym = (m, r)
-                break
-        if bad_sym:
-            break
-    checks.append(
-        _sweep_check(
-            f"weyl_to_pq/weyl_to_qp equal symmetrized-word rewriting, m,r <= {max_degree}",
-            bad_sym,
-            "first failure at",
-        )
-    )
-
-    bad_weyl = None
-    for m in span:
-        for r in span:
-            # Weyl image of the ordered words, checked through rewriting.
-            via = conv.convert(conv.qp_to_weyl(m, r), Ordering.PQ)
-            if via.terms != rewrite_to_pq(_qp_monomial_expression(m, r)).terms:
-                bad_weyl = ("qp_to_weyl", m, r)
-                break
-            via2 = conv.convert(conv.pq_to_weyl(m, r), Ordering.QP)
-            if via2.terms != rewrite_to_qp(_pq_monomial_expression(m, r)).terms:
-                bad_weyl = ("pq_to_weyl", m, r)
-                break
-        if bad_weyl:
-            break
-    checks.append(
-        _sweep_check(
-            f"qp_to_weyl/pq_to_weyl invert through rewriting, m,r <= {max_degree}",
-            bad_weyl,
-            "first failure at",
-        )
-    )
-
+    top = max_degree
     tags = (Ordering.PQ, Ordering.QP, Ordering.WEYL)
-    bad_rt = None
-    for m in span:
-        for r in span:
-            for t1 in tags:
-                start = OrderedPolynomial.monomial(t1, m, r)
-                for t2 in tags:
-                    back = conv.convert(conv.convert(start, t2), t1)
-                    if back.terms != start.terms:
-                        bad_rt = (t1.value, t2.value, m, r)
-    checks.append(
-        _sweep_check(
-            f"round-trip identity over all tag pairs, m,r <= {max_degree}",
-            bad_rt,
-        )
-    )
+    # The rewriting oracles: Q^m P^r in P-Q order and P^r Q^m in Q-P order.
+    qp_words = {c: rewrite_to_pq(_qp_monomial_expression(*c)) for c in _grid(top)}
+    pq_words = {c: rewrite_to_qp(_pq_monomial_expression(*c)) for c in _grid(top)}
 
-    bad_adj = None
-    adj_span = range(min(max_degree, 5) + 1)
-    for m in adj_span:
-        for r in adj_span:
-            adj = conv.qp_to_pq(m, r).adjoint()
-            if adj.terms != conv.pq_to_qp(m, r).terms:
-                bad_adj = (m, r)
-    checks.append(
-        _sweep_check(
+    def symmetrized(m, r):
+        sym = conv.weyl_symmetrization(m, r)
+        yield conv.weyl_to_pq(m, r), rewrite_to_pq(sym)
+        yield conv.weyl_to_qp(m, r), rewrite_to_qp(sym)
+
+    def round_trips(m, r):
+        for t1 in tags:
+            start = OrderedPolynomial.monomial(t1, m, r)
+            for t2 in tags:
+                yield conv.convert(conv.convert(start, t2), t1), start
+
+    return [
+        _sweep(
+            f"qp_to_pq equals rewriting, m,r <= {top}",
+            _grid(top),
+            lambda m, r: [(conv.qp_to_pq(m, r), qp_words[m, r])],
+        ),
+        _sweep(
+            f"pq_to_qp equals rewriting, m,r <= {top}",
+            _grid(top),
+            lambda m, r: [(conv.pq_to_qp(m, r), pq_words[m, r])],
+        ),
+        _sweep(
+            f"weyl_to_pq/weyl_to_qp equal symmetrized-word rewriting, m,r <= {top}",
+            _grid(top),
+            symmetrized,
+        ),
+        # Weyl image of the ordered words, checked through rewriting.
+        _sweep(
+            f"qp_to_weyl/pq_to_weyl invert through rewriting, m,r <= {top}",
+            _grid(top),
+            lambda m, r: [
+                (conv.convert(conv.qp_to_weyl(m, r), Ordering.PQ), qp_words[m, r]),
+                (conv.convert(conv.pq_to_weyl(m, r), Ordering.QP), pq_words[m, r]),
+            ],
+        ),
+        _sweep(
+            f"round-trip identity over all tag pairs, m,r <= {top}",
+            _grid(top),
+            round_trips,
+        ),
+        _sweep(
             "adjoint symmetry between qp_to_pq and pq_to_qp, m,r <= 5",
-            bad_adj,
-        )
-    )
-    return checks
+            _grid(min(top, 5)),
+            lambda m, r: [(conv.qp_to_pq(m, r).adjoint(), conv.pq_to_qp(m, r))],
+        ),
+    ]
 
 
 def suite_commutators(max_degree: int = 6) -> list[CheckResult]:
     """Closed-form commutators against brute force, in both orderings."""
-    checks: list[CheckResult] = []
-    checks.append(
+    top = min(max_degree, 8)
+
+    def commutators(m, r):
+        brute = commutator(Q**m, P**r)
+        closed_pq = conv.commutator_closed_form(m, r, Ordering.PQ)
+        closed_qp = conv.convert(
+            conv.commutator_closed_form(m, r, Ordering.QP), Ordering.PQ
+        )
+        return [
+            (closed_pq, brute),
+            (closed_qp, brute),
+            (conv.convert(closed_pq, Ordering.PQ), closed_qp),
+        ]
+
+    def powers(n):
+        word = ProductNode((P + Q,) * n)
+        yield conv.p_plus_q_power(n, Ordering.PQ), rewrite_to_pq(word)
+        yield conv.p_plus_q_power(n, Ordering.QP), rewrite_to_qp(word)
+
+    return [
         _exact(
             "[Q, P] = i",
             conv.commutator_closed_form(1, 1, Ordering.PQ),
             OrderedPolynomial.from_terms(Ordering.PQ, [((0, 0), I)]),
-        )
-    )
-    bad = None
-    for m in range(max_degree + 1):
-        for r in range(max_degree + 1):
-            brute = commutator(Q**m, P**r)
-            closed_pq = conv.commutator_closed_form(m, r, Ordering.PQ)
-            closed_qp = conv.commutator_closed_form(m, r, Ordering.QP)
-            if closed_pq.terms != brute.terms:
-                bad = ("pq", m, r)
-            if not poly_equal(closed_qp, brute):
-                bad = ("qp", m, r)
-            if not poly_equal(closed_pq, closed_qp):
-                bad = ("pq-vs-qp", m, r)
-    checks.append(
-        _sweep_check(
+        ),
+        _sweep(
             f"closed-form commutators equal [Q^m, P^r] by rewriting, m,r <= {max_degree}",
-            bad,
-        )
-    )
-    bad_pow = None
-    for n in range(min(max_degree, 8) + 1):
-        oracle_expr = ProductNode(tuple([P + Q]) * n) if n else None
-        for target, rewriter in (
-            (Ordering.PQ, rewrite_to_pq),
-            (Ordering.QP, rewrite_to_qp),
-        ):
-            closed = conv.p_plus_q_power(n, target)
-            want = (
-                rewriter(oracle_expr)
-                if oracle_expr is not None
-                else OrderedPolynomial.from_terms(target, [((0, 0), ONE)])
-            )
-            if closed.terms != want.terms:
-                bad_pow = (target.value, n)
-    checks.append(
-        _sweep_check(
-            f"(P+Q)^n expansions equal rewriting, n <= {min(max_degree, 8)}",
-            bad_pow,
-        )
-    )
-    return checks
+            _grid(max_degree),
+            commutators,
+        ),
+        _sweep(
+            f"(P+Q)^n expansions equal rewriting, n <= {top}",
+            ((n,) for n in range(top + 1)),
+            powers,
+        ),
+    ]
 
 
 def suite_hermite(max_degree: int = 8) -> list[CheckResult]:
     """Two-variable Hermite identities behind the symbolic transforms."""
-    checks: list[CheckResult] = []
-    checks.append(
+    top = max_degree
+    return [
         CheckResult(
             "H[1,1](t,s) = ts - 1",
             conv.hermite_two_var(1, 1).terms
             == {(1, 1): ONE, (0, 0): ExactScalar.from_int(-1)},
-        )
-    )
-    checks.append(
+        ),
         CheckResult(
             "H[2,1](t,s) = t^2 s - 2t",
             conv.hermite_two_var(2, 1).terms
             == {(2, 1): ONE, (1, 0): ExactScalar.from_int(-2)},
-        )
-    )
-    span = range(max_degree + 1)
-    bad = None
-    for m in span:
-        for r in span:
-            if (
-                phasexform.derivative_representation(m, r).terms
-                != phasexform.monomial_forward(m, r).terms
-            ):
-                bad = (m, r)
-    checks.append(
-        _sweep_check(
-            f"derivative representation equals forward symbol, m,r <= {max_degree}",
-            bad,
-        )
-    )
-    bad_inv = None
-    for m in span:
-        for r in span:
-            if phasexform.monomial_inverse(m, r).terms != {(m, r): ONE}:
-                bad_inv = (m, r)
-    checks.append(
-        _sweep_check(
-            f"inverse symbol map recovers bare monomials, m,r <= {max_degree}",
-            bad_inv,
-        )
-    )
-    bad_lit = None
-    lit_span = range(min(max_degree, 6) + 1)
-    for m in lit_span:
-        for r in lit_span:
-            reduced = {
-                (k.m, k.r): c for k, c in conv.qp_to_weyl(m, r).terms.items()
-            }
-            if conv._weyl_image_via_hermite(m, r, False).terms != reduced:
-                bad_lit = ("qp", m, r)
-            reduced2 = {
-                (k.m, k.r): c for k, c in conv.pq_to_weyl(m, r).terms.items()
-            }
-            if conv._weyl_image_via_hermite(m, r, True).terms != reduced2:
-                bad_lit = ("pq", m, r)
-    checks.append(
-        _sweep_check(
+        ),
+        _sweep(
+            f"derivative representation equals forward symbol, m,r <= {top}",
+            _grid(top),
+            lambda m, r: [
+                (
+                    phasexform.derivative_representation(m, r),
+                    phasexform.monomial_forward(m, r),
+                )
+            ],
+        ),
+        _sweep(
+            f"inverse symbol map recovers bare monomials, m,r <= {top}",
+            _grid(top),
+            lambda m, r: [
+                (
+                    phasexform.monomial_inverse(m, r),
+                    conv.CommutativePoly2.monomial(m, r),
+                )
+            ],
+        ),
+        _sweep(
             "scaled-Hermite route equals reduced Weyl coefficients, m,r <= 6",
-            bad_lit,
-        )
-    )
-    return checks
+            _grid(min(top, 6)),
+            lambda m, r: [
+                (conv._weyl_image_via_hermite(m, r, False), conv.qp_to_weyl(m, r)),
+                (conv._weyl_image_via_hermite(m, r, True), conv.pq_to_weyl(m, r)),
+            ],
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +440,7 @@ def suite_transform() -> list[CheckResult]:
     other = phasexform.SampledField.from_function(
         lambda qg, pg: (qg + 1j * pg) * np.exp(-(pg**2) - qg**2)
     )
-    combo = phasexform.SampledField(
-        gauss.q_min,
-        gauss.q_max,
-        gauss.p_min,
-        gauss.p_max,
-        2.0 * gauss.values - 0.5j * other.values,
-    )
+    combo = replace(gauss, values=2.0 * gauss.values - 0.5j * other.values)
     lin = phasexform.forward_transform(combo).values - (
         2.0 * phasexform.forward_transform(gauss).values
         - 0.5j * phasexform.forward_transform(other).values

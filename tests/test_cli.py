@@ -10,7 +10,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from weylkit import cli, exprio, phasexform
+from weylkit import cli, exprio, ordering as conv, phasexform, verify
+from weylkit.opalg import OrderedPolynomial, Ordering
 
 
 @pytest.fixture(scope="module")
@@ -193,13 +194,43 @@ def test_verify_orderings_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_json_schema(capsys, schema):
-    code, doc = run_json(
-        capsys, schema, "verify", "commutators", "--max-degree", "3", "--json"
-    )
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_json_schema(capsys, schema, suite):
+    code, doc = run_json(capsys, schema, "verify", suite, "--json")
     assert code == 0
     assert doc["status"] == "ok"
     assert doc["payload"]["failed"] == 0
+
+
+def test_verify_json_failure_is_strict_json(capsys, schema, monkeypatch):
+    right = conv.qp_to_pq
+
+    def wrong(m, r):
+        if (m, r) == (2, 1):
+            return OrderedPolynomial.monomial(Ordering.PQ, m, r)
+        return right(m, r)
+
+    monkeypatch.setattr(conv, "qp_to_pq", wrong)
+    code, out, _ = run(capsys, "verify", "orderings", "--max-degree", "3", "--json")
+    assert code == 1
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out, parse_constant=refuse)
+    jsonschema.validate(doc, schema)
+    assert doc["status"] == "mismatch"
+    failed = {c["name"]: c for c in doc["payload"]["checks"] if not c["passed"]}
+    assert sorted(failed) == [
+        "adjoint symmetry between qp_to_pq and pq_to_qp, m,r <= 5",
+        "qp_to_pq equals rewriting, m,r <= 3",
+    ]
+    for check in failed.values():
+        assert check["max_error"] is None
+        assert check["detail"] == "first failure at (2, 1)"
+    first = failed["qp_to_pq equals rewriting, m,r <= 3"]
+    assert first["computed"] == "pq{P*Q^2}"
+    assert first["oracle"] == exprio.render(right(2, 1))
 
 
 def test_verify_resource_guards(capsys):

@@ -289,20 +289,6 @@ def test_hermite_functions_match_explicit_forms():
         assert abs(psi[2] - (2.0 * x * x - 1.0) / math.sqrt(2.0) * norm) < 1e-13
 
 
-def test_fock_matrix_serialization(tmp_path):
-    mat = fs.evaluate(conv.qp_to_pq(1, 1), 4)
-    doc = mat.to_json()
-    assert doc["dim"] == 4 and doc["reliable_dim"] == 2
-    assert len(doc["entries"]) == 16
-    path = tmp_path / "mat.csv"
-    mat.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "4,2"
-    assert len(lines) == 17
-    re0, im0 = (float(x) for x in lines[1].split(","))
-    assert complex(re0, im0) == mat.data[0, 0]
-
-
 def test_fock_matrix_validation():
     with pytest.raises(ValueError):
         fs.FockMatrix(np.zeros((2, 3)), 1)

@@ -340,11 +340,3 @@ def test_csv_from_pipe(tmp_path, text, error):
             px.SampledField.from_csv(path)
     writer.join(timeout=10)
     assert not writer.is_alive()
-
-
-def test_json_round_trip():
-    field = gaussian_field(nq=6, np_=5)
-    doc = field.to_json()
-    back = px.SampledField.from_json(doc)
-    assert np.abs(back.values - field.values).max() == 0.0
-    assert back.np_ == 5
