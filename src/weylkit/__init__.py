@@ -12,7 +12,7 @@ The package has three layers:
 the reproducible check suites behind ``weylkit verify``.
 """
 
-from .exactnum import ExactScalar, Rational
+from .exactnum import ExactScalar
 from .opalg import (
     FreeExpression,
     LadderOrdering,
@@ -77,7 +77,6 @@ __all__ = [
     "Ordering",
     "ParseError",
     "PhasePoint",
-    "Rational",
     "SampledField",
     "TruncationError",
     "build_ladder",

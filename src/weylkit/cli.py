@@ -10,6 +10,7 @@ ASCII syntax the parser accepts, so results can be piped back in.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -174,14 +175,16 @@ def cmd_convert(args) -> int:
 
 def cmd_commutator(args) -> int:
     as_json = args.format == "json"
+    # A parse error's span is relative to the operand being parsed.
+    source = args.left
     try:
-        left_expr = _as_words(exprio.parse(args.left))
-        right_expr = _as_words(exprio.parse(args.right))
+        left_expr = _as_words(exprio.parse(source))
+        source = args.right
+        right_expr = _as_words(exprio.parse(source))
         difference = left_expr * right_expr - right_expr * left_expr
         _check_expansion(difference)
         bracket = rewrite_to_pq(difference)
     except exprio.ParseError as exc:
-        source = args.left if exc.span[1] <= len(args.left) else args.right
         return _print_error(exc.pretty(source), as_json, exc.span)
     except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
         return _print_error(str(exc), as_json)
@@ -388,9 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call of main and reused: building the tree costs
+# more than parsing a short command.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -27,11 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-#: Reduced rational numbers (positive denominator, gcd-free) with
-#: unbounded integer components.  The stdlib type maintains exactly the
-#: invariants required here.
-Rational = Fraction
-
 _ZERO_TUPLE = (0, 0, 0, 0, 1)
 
 
@@ -284,61 +279,6 @@ def _coerce(value: ExactScalar | int) -> ExactScalar | None:
     if isinstance(value, int):
         return _make((value, 0, 0, 0, 1))
     return None
-
-
-def parse_scalar(text: str) -> ExactScalar:
-    """Parse the canonical rendering produced by :meth:`ExactScalar.render`."""
-    text = text.strip()
-    if text == "0":
-        return ZERO
-    total = ZERO
-    for part in text.split("+"):
-        part = part.strip()
-        if not part:
-            raise ValueError(f"empty component in scalar {text!r}")
-        negative = part.startswith("-")
-        if negative:
-            part = part[1:].strip()
-        factors = part.split("*")
-        value = Fraction(1)
-        has_i = False
-        has_r2 = False
-        for factor in factors:
-            factor = factor.strip()
-            if factor == "i":
-                if has_i:
-                    raise ValueError(f"repeated i in {part!r}")
-                has_i = True
-            elif factor == "r2":
-                if has_r2:
-                    raise ValueError(f"repeated r2 in {part!r}")
-                has_r2 = True
-            else:
-                value = Fraction(factor)
-        if negative:
-            value = -value
-        if not has_i and not has_r2:
-            comp = ExactScalar(value)
-        elif has_i and not has_r2:
-            comp = ExactScalar(0, value)
-        elif not has_i and has_r2:
-            comp = ExactScalar(0, 0, value)
-        else:
-            comp = ExactScalar(0, 0, 0, value)
-        total = total + comp
-    return total
-
-
-def i_power(k: int) -> ExactScalar:
-    """i**k for any integer k."""
-    k %= 4
-    if k == 0:
-        return ONE
-    if k == 1:
-        return I
-    if k == 2:
-        return MINUS_ONE
-    return MINUS_I
 
 
 ZERO = _make(_ZERO_TUPLE)

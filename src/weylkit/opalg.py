@@ -198,14 +198,6 @@ class LadderPolynomial:
     ordering: LadderOrdering
     terms: Mapping[tuple[int, int], ExactScalar] = field(default_factory=dict)
 
-    @classmethod
-    def from_terms(
-        cls,
-        ordering: LadderOrdering,
-        terms: Iterable[tuple[tuple[int, int], ExactScalar]],
-    ) -> LadderPolynomial:
-        return cls(ordering, collect(terms))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -524,15 +516,11 @@ def to_expression(p: OrderedPolynomial) -> FreeExpression:
     return SumNode(tuple(parts))
 
 
-def canonical_pq(p: OrderedPolynomial) -> OrderedPolynomial:
-    """Funnel any tag to the canonical P-Q form."""
-    if p.ordering is Ordering.PQ:
-        return p
-    from . import ordering as _ordering  # deferred: avoids import cycle
-
-    return _ordering.convert(p, Ordering.PQ)
-
-
 def poly_equal(x: OrderedPolynomial, y: OrderedPolynomial) -> bool:
     """Operator equality, decided on canonical P-Q forms."""
-    return canonical_pq(x).terms == canonical_pq(y).terms
+    from .ordering import convert  # deferred: avoids import cycle
+
+    x, y = (
+        p if p.ordering is Ordering.PQ else convert(p, Ordering.PQ) for p in (x, y)
+    )
+    return x.terms == y.terms

@@ -104,13 +104,6 @@ class CommutativePoly2:
                 out.append(((i, j - 1), coeff * ExactScalar.from_int(j)))
         return CommutativePoly2.from_terms(out)
 
-    def evaluate(self, x: complex, y: complex) -> complex:
-        """Double-precision evaluation."""
-        total = 0.0 + 0.0j
-        for (i, j), coeff in self.terms.items():
-            total += coeff.to_complex() * (x**i) * (y**j)
-        return total
-
 
 def hermite_two_var(m: int, r: int) -> CommutativePoly2:
     """Two-variable Hermite polynomial H[m,r](t, s) with exact coefficients.

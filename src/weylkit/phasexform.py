@@ -284,18 +284,17 @@ def monomial_forward(m: int, r: int) -> CommutativePoly2:
     return CommutativePoly2.from_terms(_conversion_terms(m, r, I_HALF))
 
 
-def inverse_symbol(poly: CommutativePoly2) -> CommutativePoly2:
-    """Linear extension of the inverse coefficient map on monomials."""
+def monomial_inverse(m: int, r: int) -> CommutativePoly2:
+    """Round trip of the symbolic maps; equals the bare monomial t^m s^r.
+
+    Applies the inverse coefficient map, extended linearly, to
+    :func:`monomial_forward`.
+    """
     return CommutativePoly2.from_terms(
         (key, c * coeff)
-        for (m, r), coeff in poly.terms.items()
-        for key, c in _conversion_terms(m, r, MINUS_I_HALF)
+        for (j, k), coeff in monomial_forward(m, r).terms.items()
+        for key, c in _conversion_terms(j, k, MINUS_I_HALF)
     )
-
-
-def monomial_inverse(m: int, r: int) -> CommutativePoly2:
-    """Round trip of the symbolic maps; equals the bare monomial t^m s^r."""
-    return inverse_symbol(monomial_forward(m, r))
 
 
 def derivative_representation(m: int, r: int) -> CommutativePoly2:

@@ -117,6 +117,7 @@ def _grid(top: int):
 def suite_orderings(max_degree: int = 6) -> list[CheckResult]:
     """Closed-form conversions against brute-force rewriting oracles."""
     top = max_degree
+    adjoint_top = min(top, 5)
     tags = (Ordering.PQ, Ordering.QP, Ordering.WEYL)
     # The rewriting oracles: Q^m P^r in P-Q order and P^r Q^m in Q-P order.
     qp_words = {c: rewrite_to_pq(_qp_monomial_expression(*c)) for c in _grid(top)}
@@ -164,8 +165,8 @@ def suite_orderings(max_degree: int = 6) -> list[CheckResult]:
             round_trips,
         ),
         _sweep(
-            "adjoint symmetry between qp_to_pq and pq_to_qp, m,r <= 5",
-            _grid(min(top, 5)),
+            f"adjoint symmetry between qp_to_pq and pq_to_qp, m,r <= {adjoint_top}",
+            _grid(adjoint_top),
             lambda m, r: [(conv.qp_to_pq(m, r).adjoint(), conv.pq_to_qp(m, r))],
         ),
     ]
@@ -214,6 +215,7 @@ def suite_commutators(max_degree: int = 6) -> list[CheckResult]:
 def suite_hermite(max_degree: int = 8) -> list[CheckResult]:
     """Two-variable Hermite identities behind the symbolic transforms."""
     top = max_degree
+    hermite_top = min(top, 6)
     return [
         CheckResult(
             "H[1,1](t,s) = ts - 1",
@@ -246,8 +248,8 @@ def suite_hermite(max_degree: int = 8) -> list[CheckResult]:
             ],
         ),
         _sweep(
-            "scaled-Hermite route equals reduced Weyl coefficients, m,r <= 6",
-            _grid(min(top, 6)),
+            f"scaled-Hermite route equals reduced Weyl coefficients, m,r <= {hermite_top}",
+            _grid(hermite_top),
             lambda m, r: [
                 (conv._weyl_image_via_hermite(m, r, False), conv.qp_to_weyl(m, r)),
                 (conv._weyl_image_via_hermite(m, r, True), conv.pq_to_weyl(m, r)),

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -99,6 +100,52 @@ def test_commutator_goldens(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+@pytest.mark.parametrize(
+    "left, right, bad",
+    [("Q +", "Q*P*Q*P", "Q +"), ("Q*P*Q*P", "Q +", "Q +"), ("P", "Q*(P", "Q*(P")],
+)
+def test_commutator_parse_error_shows_the_failing_operand(
+    capsys, schema, left, right, bad
+):
+    with pytest.raises(exprio.ParseError) as exc:
+        exprio.parse(bad)
+    code, out, err = run(capsys, "commutator", left, right)
+    assert (code, out, err) == (2, "", exc.value.pretty(bad) + "\n")
+    code, doc = run_json(capsys, schema, "commutator", left, right, "--format", "json")
+    assert code == 2
+    assert doc["payload"] == {
+        "message": exc.value.pretty(bad),
+        "span": list(exc.value.span),
+    }
+
+
+def _readme_examples():
+    """(argv, printed result) of each README command line ending in '# -> text'."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, arrow, want = line.partition("# -> ")
+        argv = shlex.split(command)[1:]
+        if arrow and argv[0] in ("convert", "commutator", "expand"):
+            yield argv, want.strip()
+
+
+def test_readme_command_examples(capsys):
+    examples = list(_readme_examples())
+    assert examples
+    for argv, want in examples:
+        assert run(capsys, *argv) == (0, want + "\n", ""), argv
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli._parser.cache_clear()
+    first = run(capsys, "convert", "Q*P", "--to", "pq")
+    second = run(capsys, "convert", "Q*P", "--to", "pq")
+    assert first == second == (0, "P*Q + i\n", "")
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_expand_power_two(capsys):
     code, out, _ = run(
         capsys, "expand", "P+Q", "--power", "2", "--to", "pq"
@@ -194,6 +241,17 @@ def test_verify_orderings_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize(
+    "suite, check",
+    [("orderings", "adjoint symmetry"), ("hermite", "scaled-Hermite route")],
+)
+def test_verify_check_names_state_the_swept_range(capsys, suite, check):
+    code, out, _ = run(capsys, "verify", suite, "--max-degree", "3")
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if check in line]
+    assert "m,r <= 3 " in line
+
+
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
 def test_verify_json_schema(capsys, schema, suite):
     code, doc = run_json(capsys, schema, "verify", suite, "--json")
@@ -222,7 +280,7 @@ def test_verify_json_failure_is_strict_json(capsys, schema, monkeypatch):
     assert doc["status"] == "mismatch"
     failed = {c["name"]: c for c in doc["payload"]["checks"] if not c["passed"]}
     assert sorted(failed) == [
-        "adjoint symmetry between qp_to_pq and pq_to_qp, m,r <= 5",
+        "adjoint symmetry between qp_to_pq and pq_to_qp, m,r <= 3",
         "qp_to_pq equals rewriting, m,r <= 3",
     ]
     for check in failed.values():

@@ -12,13 +12,12 @@ from weylkit.exactnum import (
     ExactArithmeticError,
     ExactScalar,
     I,
-    MINUS_I,
     ONE,
     SQRT2,
     ZERO,
-    i_power,
-    parse_scalar,
 )
+from weylkit.exprio import parse
+from weylkit.opalg import rewrite_to_pq
 
 fractions = st.builds(
     Fraction, st.integers(-60, 60), st.integers(1, 24)
@@ -47,15 +46,6 @@ def test_to_complex_examples():
     x = (ONE + I) * SQRT2 * ExactScalar.rational(1, 2)
     want = complex(math.sqrt(2) / 2, math.sqrt(2) / 2)
     assert abs(x.to_complex() - want) <= 4 * 2e-16
-
-
-def test_i_power_cycle():
-    assert i_power(0) == ONE
-    assert i_power(1) == I
-    assert i_power(2) == ExactScalar.from_int(-1)
-    assert i_power(3) == MINUS_I
-    assert i_power(7) == MINUS_I
-    assert i_power(-1) == MINUS_I
 
 
 def test_powers_and_division():
@@ -90,7 +80,9 @@ def test_multiplicative_inverse(x):
 @given(scalars)
 @settings(max_examples=200)
 def test_render_parse_round_trip(x):
-    assert parse_scalar(x.render()) == x
+    # The CLI prints coefficients this way and reads its output back in.
+    want = {} if x.is_zero() else {(0, 0): x}
+    assert rewrite_to_pq(parse(x.render())).terms == want
 
 
 def test_render_canonical_forms():
