@@ -391,13 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built on the first call of main and reused: building the tree costs
-# more than parsing a short command.
-_parser = functools.cache(build_parser)
+# Built once per int/str digit limit, which the help text states, and
+# reused: building the tree costs more than parsing a short command.
+@functools.cache
+def _parser(digits: int) -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser(exprio.max_int_digits()).parse_args(argv)
     return args.func(args)
 
 

@@ -19,7 +19,10 @@ along q and a chirp multiply again: the chirp-z transform of Bluestein
 outer chirp w*(v-u) is constant along diagonals, a strided view of one
 1-D array, and each convolution is a batch of zero-padded FFTs, so an
 n x n grid costs O(n^2 log n) where two dense chirp matrix products
-cost O(n^3).  Monomial inputs do not decay, so they are
+cost O(n^3).  The FFTs run on rows in blocks of ``_CHIRP_ROWS``, one
+thread per usable core, each in its own reused buffer; the blocks
+depend on the grid alone, so the result is bit-identical for any number
+of cores.  Monomial inputs do not decay, so they are
 handled only symbolically: the transform of x^m y^r is a two-variable
 Hermite polynomial in closed form, and the same polynomial falls out of
 repeated differentiation of e^{-2ist} (up to the normalization
@@ -30,6 +33,8 @@ exactly).
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -135,9 +140,9 @@ class SampledField:
                 f"{float(self.p_min)!r},{float(self.p_max)!r},"
                 f"{self.nq},{self.np_}\n"
             )
+            cells = "%r,%r\n" * self.np_
             for row in self.values:
-                for cell in row:
-                    handle.write(f"{float(cell.real)!r},{float(cell.imag)!r}\n")
+                handle.write(cells % tuple(np.ascontiguousarray(row).view(float).tolist()))
 
     @classmethod
     def from_csv(cls, path) -> SampledField:
@@ -178,8 +183,9 @@ class SampledField:
                     raise ValueError(
                         f"line {idx + 2}: non-numeric cell {line.strip()!r}"
                     ) from None
-            if handle.readline().strip():
-                raise ValueError("trailing data after the final cell")
+            while chunk := handle.read(1 << 16):
+                if chunk.strip():
+                    raise ValueError("trailing data after the final cell")
             data = np.array(cells, dtype=complex)
             # A finite cell such as 1.5e308,1.5e308 still has an infinite
             # magnitude, which would make boundary_max inf.
@@ -192,42 +198,137 @@ class SampledField:
 
 
 
-def _chirp_convolve(x: np.ndarray, m: int, c: float, shift: float) -> np.ndarray:
-    """out[:, k] = sum_n x[:, n] w(k - n + shift) for k < m, w(t) = e^{ict^2/2}.
+def _smooth_length(target: int) -> int:
+    """Smallest 2^a 3^b 5^c >= target, a length pocketfft runs fast."""
+    best = 1 << (target - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-target // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
-    The n + m - 1 lags of the chirp fill one circular buffer of the next
-    power-of-two length, negative lags wrapped to its end, so the first
-    m outputs of the circular convolution are the linear one.  Rows go
-    through the FFTs in blocks of ``_CHIRP_ROWS``, which bounds the padded
-    spectra whatever the grid size.
-    """
-    rows, n = x.shape
-    size = 1 << (n + m - 2).bit_length()
+
+def _chirp_spectrum(size: int, n: int, c: float, shift: float, scale: float) -> np.ndarray:
+    """scale * FFT of w(t + shift), w(t) = e^{ict^2/2}, over lags t of one
+    circular buffer: 0, 1, ... from the start and the n - 1 negative lags
+    wrapped to its end."""
     lag = np.arange(size, dtype=float)
     lag[size - n + 1:] -= size
     lag += shift
     kernel = np.fft.fft(np.exp(0.5j * c * lag * lag))
-    out = np.empty((rows, m), dtype=complex)
-    for start in range(0, rows, _CHIRP_ROWS):
-        block = np.fft.fft(x[start:start + _CHIRP_ROWS], n=size, axis=1)
-        block *= kernel
-        block = np.fft.ifft(block, axis=1)
-        out[start:start + _CHIRP_ROWS] = block[:, :m]
-    return out
+    kernel *= scale
+    return kernel
+
+
+def _convolve_in_place(block: np.ndarray, n: int, spectrum: np.ndarray) -> None:
+    """Circular convolution of each row of ``block``, whose first n
+    entries hold the input, with the kernel of ``spectrum``."""
+    block[:, n:] = 0.0
+    np.fft.fft(block, out=block)
+    block *= spectrum
+    np.fft.ifft(block, out=block, norm="forward")
+
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(rows: int, width: int, work) -> None:
+    """Call ``work(start, buffer)`` for each block start in
+    ``range(0, rows, _CHIRP_ROWS)``.
+
+    One worker per usable core, but no more than there are blocks: worker
+    k takes every count-th block from the k-th, all in one
+    ``(_CHIRP_ROWS, width)`` complex buffer made here.  Worker 0 is the
+    calling thread and the rest are threads joined before this returns.
+    An error in any worker stops the others at their next block and is
+    raised here once all of them have stopped.
+    """
+    count = min(_cores(), -(-rows // _CHIRP_ROWS))
+    buffers = [np.empty((_CHIRP_ROWS, width), complex) for _ in range(count)]
+    errors = []
+
+    def run(k):
+        for start in range(k * _CHIRP_ROWS, rows, count * _CHIRP_ROWS):
+            if errors:
+                return
+            work(start, buffers[k])
+
+    def worker(k):
+        try:
+            run(k)
+        except BaseException as exc:  # raised again by the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(1, count)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    except BaseException as exc:
+        errors.append(exc)  # the other workers stop at their next block
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _chirp_transform(h: SampledField, sign: float) -> SampledField:
+    """The grid transform as two passes of chirp convolutions: along p
+    into an nq x nq array stored transposed, then along q into the
+    output.
+
+    Both convolutions pad to one 5-smooth length (:func:`_smooth_length`)
+    and go through the FFTs ``_CHIRP_ROWS`` rows at a time, in place in
+    one buffer per worker.  The outer chirp is applied to each block on
+    the way in and on the way out, and dq dp / pi rides in the second
+    kernel spectrum, so the one full-grid array is the one the first pass
+    writes, which the output then shares.
+    """
     nq, np_ = h.nq, h.np_
     c = 2.0 * sign * h.dq * h.dp
     # v - u = (j - i) + (nq - np_)/2 on cells (i, j); row i of the outer
     # chirp is a window of one array over j - i = 1 - nq .. np_ - 1.
     lag = np.arange(1 - nq, np_) + 0.5 * (nq - np_)
     outer = sliding_window_view(np.exp(-0.5j * c * lag * lag), np_)[::-1]
-    along_p = _chirp_convolve(h.values * outer, nq, c, 0.5 * (np_ - nq))
-    along_p = np.ascontiguousarray(along_p.T)
-    values = _chirp_convolve(along_p, np_, c, 0.5 * (nq - np_))
-    values *= outer
-    values *= h.dq * h.dp / np.pi
+    # Both convolutions have nq + np_ - 1 lags, so they share one padded
+    # length; ifft runs unscaled and the spectra carry 1/size instead.
+    size = _smooth_length(nq + np_ - 1)
+    along_p = _chirp_spectrum(size, np_, c, 0.5 * (np_ - nq), 1.0 / size)
+    along_q = _chirp_spectrum(size, nq, c, 0.5 * (nq - np_), h.dq * h.dp / (np.pi * size))
+    # middle[k, i] = sum_j h[i, j] outer[i, j] w(k - j + (np_ - nq)/2),
+    # stored transposed so the pass along q reads contiguous rows.  That
+    # pass writes each block of output rows over the rows it has just
+    # read, so the output shares the array.
+    middle = np.empty((nq, max(nq, np_)), complex)
+    values = middle[:, :np_]
+
+    def pass_p(start, buf):
+        stop = min(start + _CHIRP_ROWS, nq)
+        block = buf[:stop - start]
+        np.multiply(h.values[start:stop], outer[start:stop], out=block[:, :np_])
+        _convolve_in_place(block, np_, along_p)
+        middle[:, start:stop] = block[:, :nq].T
+
+    def pass_q(start, buf):
+        stop = min(start + _CHIRP_ROWS, nq)
+        block = buf[:stop - start]
+        block[:, :nq] = middle[start:stop, :nq]
+        _convolve_in_place(block, nq, along_q)
+        np.multiply(block[:, :np_], outer[start:stop], out=values[start:stop])
+
+    _run_blocks(nq, size, pass_p)
+    _run_blocks(nq, size, pass_q)
+    if np_ < nq:
+        values = values.copy()
     return SampledField(
         h.q_min, h.q_max, h.p_min, h.p_max, values, reliable=h.reliable
     )

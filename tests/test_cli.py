@@ -138,6 +138,21 @@ def test_readme_command_examples(capsys):
         assert run(capsys, *argv) == (0, want + "\n", ""), argv
 
 
+def test_help_states_the_live_digit_limit(capsys):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str digit limit on this Python")
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 1000, limit):
+            sys.set_int_max_str_digits(digits)
+            with pytest.raises(SystemExit):
+                cli.main(["convert", "--help"])
+            help_text = " ".join(capsys.readouterr().out.split())
+            assert f"digit limit ({digits or 'none'})" in help_text
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_main_builds_the_parser_once(capsys):
     cli._parser.cache_clear()
     first = run(capsys, "convert", "Q*P", "--to", "pq")
@@ -375,13 +390,22 @@ def test_transform_input_validation(capsys, tmp_path):
     assert code == 2
     assert "cannot read input grid: line 1:" in err
     assert not out.exists()
-    # A finite cell near the float limit overflows the quadrature: the
-    # transform and both Parseval sides are refused, never written as
-    # nan/inf or printed as NaN/Infinity.
+    # Cells near the float limit: a transform whose true value overflows
+    # and both Parseval sides of |1e308|^2 are refused, never written as
+    # nan/inf or printed as NaN/Infinity.  One such cell on a unit square
+    # still has a finite transform (dq dp / pi times 1.4e308), and it is
+    # written.
     huge = tmp_path / "huge.csv"
     huge.write_text("0,1,0,1,2,2\n1e308,1e308\n0,0\n0,0\n0,0\n")
+    code, _, _ = run(capsys, "transform", "--input", str(huge), "--out", str(out))
+    assert code == 0
+    got = phasexform.SampledField.from_csv(out).values
+    assert np.allclose(np.abs(got[0, 0]), 0.25 / np.pi * np.hypot(1e308, 1e308), rtol=1e-12)
+    out.unlink()
+    overflowing = tmp_path / "overflowing.csv"
+    overflowing.write_text("0,100,0,100,2,2\n" + "1e308,1e308\n" * 4)
     code, stdout, _ = run(
-        capsys, "transform", "--input", str(huge), "--out", str(out), "--json"
+        capsys, "transform", "--input", str(overflowing), "--out", str(out), "--json"
     )
     assert code == 2
     assert "overflows" in json.loads(stdout)["payload"]["message"]

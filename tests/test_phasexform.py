@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -72,6 +73,69 @@ def test_chirp_transform_matches_dense_reference(grid, sign):
     assert got.values.shape == field.values.shape
     want = _reference_chirp_transform(field, sign)
     assert np.abs(got.values - want).max() < 1e-12
+
+
+def _force_cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("shape", [(300, 257), (257, 300)], ids=["300x257", "257x300"])
+def test_chirp_transform_is_bit_identical_for_any_worker_count(monkeypatch, shape):
+    # Neither row count is a multiple of the block height, so the last
+    # block is short and the workers get unequal shares.
+    assert shape[0] % px._CHIRP_ROWS
+    field = _textured_field(-7.0, 8.0, -6.0, 7.5, *shape, 2.0, seed=shape[0])
+    machine = px._chirp_transform(field, 1.0).values
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in (1, 3):
+            _force_cores(monkeypatch, count)
+            results.append(px._chirp_transform(field, 1.0).values)
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert np.array_equal(got, machine)
+    want = _reference_chirp_transform(field, 1.0)
+    assert np.abs(machine - want).max() < 1e-12
+
+
+def test_chirp_transform_leaves_no_thread_running(monkeypatch):
+    _force_cores(monkeypatch, 4)
+    field = gaussian_field(nq=400, np_=300)
+    before = threading.active_count()
+    px.forward_transform(field)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("in_caller", [False, True], ids=["thread", "caller"])
+def test_chirp_transform_raises_a_worker_fault(monkeypatch, in_caller):
+    _force_cores(monkeypatch, 4)
+    field = gaussian_field(nq=400, np_=400)
+    fft = np.fft.fft
+
+    def faulty(a, *args, **kwargs):
+        # Row blocks are 2-D; the kernel spectra, made before any worker
+        # starts, are 1-D.
+        in_main = threading.current_thread() is threading.main_thread()
+        if a.ndim == 2 and in_main == in_caller:
+            raise RuntimeError("injected FFT fault")
+        return fft(a, *args, **kwargs)
+
+    before = threading.active_count()
+    monkeypatch.setattr(np.fft, "fft", faulty)
+    with pytest.raises(RuntimeError, match="injected FFT fault"):
+        px._chirp_transform(field, 1.0)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "target, size",
+    [(1, 1), (2, 2), (7, 8), (11, 12), (13, 15), (97, 100), (799, 800), (1535, 1536), (2047, 2048)],
+)
+def test_smooth_length(target, size):
+    assert px._smooth_length(target) == size
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "inverse"])
@@ -299,6 +363,33 @@ def test_csv_diagnostics(tmp_path):
     path.write_text("0,1,0,1,2,2\n0,0\n0,0\n0,0\n1.5e308,1.5e308\n")
     with pytest.raises(ValueError, match="line 5: non-finite cell"):
         px.SampledField.from_csv(path)
+    # Anything but whitespace after the final cell, however far after.
+    path.write_text("0,1,0,1,2,2\n1,0\n2,0\n3,0\n4,0\n\ngarbage\n")
+    with pytest.raises(ValueError, match="trailing data"):
+        px.SampledField.from_csv(path)
+    path.write_text("0,1,0,1,2,2\n1,0\n2,0\n3,0\n4,0\n\n  \n\t\n")
+    assert px.SampledField.from_csv(path).values.ravel().tolist() == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_csv_bytes_are_repr_per_cell(tmp_path, order):
+    values = np.array(
+        [
+            [complex(-0.0, 0.1), complex(5e-324, -0.0), complex(1e16, 1.0)],
+            [complex(0.1, -1e16), complex(2.5, 5e-324), complex(-1.0, 0.3)],
+        ],
+        order=order,
+    )
+    field = px.SampledField(-1.5, 2.0, -0.1, 0.1, values)
+    assert field.values.flags.f_contiguous == (order == "F")
+    path = tmp_path / "field.csv"
+    field.to_csv(path)
+    want = "-1.5,2.0,-0.1,0.1,2,3\n" + "".join(
+        f"{float(cell.real)!r},{float(cell.imag)!r}\n" for row in values for cell in row
+    )
+    assert path.read_bytes() == want.encode()
+    assert "-0.0,0.1\n5e-324,-0.0\n1e+16,1.0\n" in want
+    assert np.array_equal(px.SampledField.from_csv(path).values, values)
 
 
 def test_csv_header_cannot_force_allocation(tmp_path):
