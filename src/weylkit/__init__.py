@@ -10,7 +10,18 @@ The package has three layers:
 
 :mod:`weylkit.exprio` provides the surface syntax, :mod:`weylkit.verify`
 the reproducible check suites behind ``weylkit verify``.
+
+Only the exact layers load with the package.  The two numeric modules
+need numpy, so they and the names they export load on first access:
+``fockspace``, ``FockMatrix``, ``PhasePoint``, ``TruncationError``,
+``build_ladder``, ``build_qp``, ``coherent_state``, ``evaluate``,
+``marginal_check``, ``wigner_function`` and ``wigner_operator``;
+``phasexform``, ``SampledField``, ``derivative_representation``,
+``forward_transform``, ``inverse_transform``, ``monomial_forward``,
+``monomial_inverse`` and ``parseval_check``.
 """
+
+import importlib
 
 from .exactnum import ExactScalar
 from .opalg import (
@@ -41,29 +52,32 @@ from .ordering import (
     weyl_to_qp,
 )
 from .exprio import ParseError, parse, render, render_terms
-from .fockspace import (
-    FockMatrix,
-    PhasePoint,
-    TruncationError,
-    build_ladder,
-    build_qp,
-    coherent_state,
-    evaluate,
-    marginal_check,
-    wigner_function,
-    wigner_operator,
-)
-from .phasexform import (
-    SampledField,
-    derivative_representation,
-    forward_transform,
-    inverse_transform,
-    monomial_forward,
-    monomial_inverse,
-    parseval_check,
-)
 
 __version__ = "0.1.0"
+
+# The numeric modules and the names they provide, imported on first
+# access (PEP 562) so that the exact layers never load numpy.
+_LAZY = {
+    "fockspace": (
+        "FockMatrix", "PhasePoint", "TruncationError", "build_ladder", "build_qp",
+        "coherent_state", "evaluate", "marginal_check", "wigner_function",
+        "wigner_operator",
+    ),
+    "phasexform": (
+        "SampledField", "derivative_representation", "forward_transform",
+        "inverse_transform", "monomial_forward", "monomial_inverse",
+        "parseval_check",
+    ),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = importlib.import_module(f"{__name__}.{module}")
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CommutativePoly2",

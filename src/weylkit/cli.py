@@ -14,9 +14,7 @@ import functools
 import json
 import sys
 
-import numpy as np
-
-from . import exprio, ordering as conv, phasexform, verify
+from . import exprio, ordering as conv, verify
 from .opalg import (
     FreeExpression,
     Ordering,
@@ -35,6 +33,11 @@ OK, MISMATCH, USAGE = 0, 1, 2
 _TAGS = {"pq": Ordering.PQ, "qp": Ordering.QP, "weyl": Ordering.WEYL}
 MAX_DEGREE_GUARD = 8
 MAX_DIM_GUARD = 128
+# The wigner suite's inputs need this many Fock levels: below 8 its
+# 8x8 blocks do not fit, below 12 the |beta| = 1 coherent state misses
+# unit trace, and at 12 and 13 its Wigner function misses the Gaussian
+# by more than 1e-6.  Every check passes from 14 up.
+MIN_DIM_GUARD = 14
 # Bounds on a bare expression before the rewriting oracle expands it.
 # Rewriting one word of n symbols costs about 4e-7 * n**3 s (2-core
 # x86-64, Python 3.11) for n = 8..160, growing faster above that:
@@ -214,8 +217,12 @@ def cmd_verify(args) -> int:
         return _print_error(f"--dim is capped at {MAX_DIM_GUARD}", args.json)
     if args.max_degree is not None and args.max_degree < 0:
         return _print_error("--max-degree must be non-negative", args.json)
-    if args.dim < 2:
-        return _print_error("--dim must be at least 2", args.json)
+    if args.dim < MIN_DIM_GUARD:
+        return _print_error(
+            f"--dim must be at least {MIN_DIM_GUARD}: the wigner checks' "
+            "blocks and |beta| <= 1 coherent states need that many Fock levels",
+            args.json,
+        )
     checks = verify.run_suite(args.suite, args.max_degree, args.dim)
     failed = [c for c in checks if not c.passed]
     status = "ok" if not failed else "mismatch"
@@ -251,13 +258,12 @@ def cmd_verify(args) -> int:
     return OK if not failed else MISMATCH
 
 
-def _gaussian_field() -> phasexform.SampledField:
-    return phasexform.SampledField.from_function(
-        lambda qg, pg: np.exp(-(pg**2) - qg**2)
-    )
-
-
 def cmd_transform(args) -> int:
+    # numpy loads here, so the exact commands start without it.
+    import numpy as np
+
+    from . import phasexform
+
     as_json = args.json
     if (args.input is None) == (not args.gaussian):
         return _print_error(
@@ -265,7 +271,9 @@ def cmd_transform(args) -> int:
         )
     try:
         field = (
-            _gaussian_field()
+            phasexform.SampledField.from_function(
+                lambda qg, pg: np.exp(-(pg**2) - qg**2)
+            )
             if args.gaussian
             else phasexform.SampledField.from_csv(args.input)
         )
@@ -371,7 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(verify.SUITES))
     p_verify.add_argument("--max-degree", type=int, default=None)
-    p_verify.add_argument("--dim", type=int, default=64)
+    p_verify.add_argument(
+        "--dim",
+        type=int,
+        default=64,
+        help=f"Fock-space dimension of the wigner suite, {MIN_DIM_GUARD} to "
+        f"{MAX_DIM_GUARD} (default 64)",
+    )
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -213,6 +213,11 @@ class Symbol(enum.Enum):
     A = "a"
     ADAG = "adag"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is sound, and it skips the Python-level Enum.__hash__ that every
+    # word-keyed dict lookup would otherwise call once per symbol.
+    __hash__ = object.__hash__
+
 
 Word = tuple[Symbol, ...]
 

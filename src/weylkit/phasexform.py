@@ -244,14 +244,14 @@ def _run_blocks(rows: int, width: int, work) -> None:
     ``range(0, rows, _CHIRP_ROWS)``.
 
     One worker per usable core, but no more than there are blocks: worker
-    k takes every count-th block from the k-th, all in one
-    ``(_CHIRP_ROWS, width)`` complex buffer made here.  Worker 0 is the
+    k takes every count-th block from the k-th, all in one complex buffer
+    made here, ``width`` wide and a block (or all rows) high.  Worker 0 is the
     calling thread and the rest are threads joined before this returns.
     An error in any worker stops the others at their next block and is
     raised here once all of them have stopped.
     """
     count = min(_cores(), -(-rows // _CHIRP_ROWS))
-    buffers = [np.empty((_CHIRP_ROWS, width), complex) for _ in range(count)]
+    buffers = [np.empty((min(rows, _CHIRP_ROWS), width), complex) for _ in range(count)]
     errors = []
 
     def run(k):
@@ -284,15 +284,23 @@ def _run_blocks(rows: int, width: int, work) -> None:
 def _chirp_transform(h: SampledField, sign: float) -> SampledField:
     """The grid transform as two passes of chirp convolutions: along p
     into an nq x nq array stored transposed, then along q into the
-    output.
+    output, for nq <= np.
 
     Both convolutions pad to one 5-smooth length (:func:`_smooth_length`)
     and go through the FFTs ``_CHIRP_ROWS`` rows at a time, in place in
     one buffer per worker.  The outer chirp is applied to each block on
     the way in and on the way out, and dq dp / pi rides in the second
     kernel spectrum, so the one full-grid array is the one the first pass
-    writes, which the output then shares.
+    writes, which the output then shares.  The kernel is symmetric in q
+    and p, so a grid with nq > np is transformed transposed, which keeps
+    that array at the output's size.
     """
+    if h.nq > h.np_:
+        swapped = SampledField(h.p_min, h.p_max, h.q_min, h.q_max, h.values.T)
+        values = _chirp_transform(swapped, sign).values.T
+        return SampledField(
+            h.q_min, h.q_max, h.p_min, h.p_max, values, reliable=h.reliable
+        )
     nq, np_ = h.nq, h.np_
     c = 2.0 * sign * h.dq * h.dp
     # v - u = (j - i) + (nq - np_)/2 on cells (i, j); row i of the outer
@@ -308,8 +316,7 @@ def _chirp_transform(h: SampledField, sign: float) -> SampledField:
     # stored transposed so the pass along q reads contiguous rows.  That
     # pass writes each block of output rows over the rows it has just
     # read, so the output shares the array.
-    middle = np.empty((nq, max(nq, np_)), complex)
-    values = middle[:, :np_]
+    middle = np.empty((nq, np_), complex)
 
     def pass_p(start, buf):
         stop = min(start + _CHIRP_ROWS, nq)
@@ -323,14 +330,12 @@ def _chirp_transform(h: SampledField, sign: float) -> SampledField:
         block = buf[:stop - start]
         block[:, :nq] = middle[start:stop, :nq]
         _convolve_in_place(block, nq, along_q)
-        np.multiply(block[:, :np_], outer[start:stop], out=values[start:stop])
+        np.multiply(block[:, :np_], outer[start:stop], out=middle[start:stop])
 
     _run_blocks(nq, size, pass_p)
     _run_blocks(nq, size, pass_q)
-    if np_ < nq:
-        values = values.copy()
     return SampledField(
-        h.q_min, h.q_max, h.p_min, h.p_max, values, reliable=h.reliable
+        h.q_min, h.q_max, h.p_min, h.p_max, middle, reliable=h.reliable
     )
 
 

@@ -313,6 +313,15 @@ def test_verify_resource_guards(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("dim", ["2", "7", "11"])
+def test_verify_refuses_a_dim_below_the_wigner_floor(capsys, dim):
+    # Below 8 the suite's 8x8 blocks do not fit; below 12 its coherent
+    # states miss unit trace.  Both used to end in a traceback.
+    code, _, err = run(capsys, "verify", "wigner", "--dim", dim)
+    assert code == 2
+    assert f"--dim must be at least {cli.MIN_DIM_GUARD}" in err
+
+
 def test_transform_parseval_golden(capsys):
     code, out, _ = run(capsys, "transform", "--gaussian", "--parseval")
     assert code == 0
@@ -439,3 +448,44 @@ def test_cold_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_exact_commands_load_no_numpy():
+    import weylkit
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(weylkit.__file__).resolve().parents[1])
+    probe = "\n".join([
+        "import sys",
+        "def numpy_loaded():",
+        "    return [m for m in sys.modules if m.split('.')[0] == 'numpy']",
+        "import weylkit.cli as cli",
+        "print(numpy_loaded())",
+        "cli.main(['convert', 'pq{Q^2*P}', '--to', 'weyl'])",
+        "print(numpy_loaded())",
+        "cli.main(['verify', 'orderings', '--max-degree', '3'])",
+        "print(numpy_loaded())",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    lines = out.stdout.splitlines()
+    assert lines[0] == lines[2] == lines[-1] == "[]"
+    assert lines[1] == "weyl{Q^2*P + -i*Q}"
+    assert lines[-2] == "orderings: 6/6 checks passed"
+
+
+def test_numeric_names_load_on_first_access(capsys):
+    import weylkit
+    from weylkit import fockspace
+
+    namespace = {}
+    exec("from weylkit import *", namespace)
+    assert set(weylkit.__all__) <= set(namespace)
+    assert namespace["SampledField"] is phasexform.SampledField
+    assert namespace["wigner_function"] is fockspace.wigner_function
+    with pytest.raises(AttributeError, match="nope"):
+        weylkit.__getattr__("nope")
+    code, out, _ = run(capsys, "transform", "--gaussian", "--parseval")
+    assert code == 0
+    assert out.split() == ["0.5000000000", "0.5000000000"]

@@ -101,6 +101,21 @@ def test_chirp_transform_is_bit_identical_for_any_worker_count(monkeypatch, shap
     assert np.abs(machine - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(4000, 4), (4, 4000)], ids=["4000x4", "4x4000"])
+def test_chirp_transform_memory_follows_the_grid_not_its_longer_side(shape):
+    # An nq x nq intermediate would be 256 MB at 4000 x 4; the input is
+    # 256 kB, and the transform may use a few MB beyond it.
+    field = _textured_field(-30.0, 30.0, -2.0, 2.0, *shape, 2.0, seed=4)
+    tracemalloc.start()
+    try:
+        got = px._chirp_transform(field, 1.0).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < field.values.nbytes + (2 << 20)
+    assert np.abs(got - _reference_chirp_transform(field, 1.0)).max() < 1e-12
+
+
 def test_chirp_transform_leaves_no_thread_running(monkeypatch):
     _force_cores(monkeypatch, 4)
     field = gaussian_field(nq=400, np_=300)
