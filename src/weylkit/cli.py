@@ -390,7 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_tr = sub.add_parser("transform", help="apply the phase-space transform")
-    p_tr.add_argument("--input", default=None, help="SampledField CSV file")
+    p_tr.add_argument(
+        "--input",
+        default=None,
+        # phasexform.MAX_CSV_CELLS; phasexform loads numpy, so it is not
+        # imported to build the help.
+        help="SampledField CSV file of at most 2097152 (2^21) cells",
+    )
     p_tr.add_argument(
         "--gaussian",
         action="store_true",

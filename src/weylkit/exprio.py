@@ -21,6 +21,16 @@ symbols and nested blocks are refused.  A block standing alone parses to
 the polynomial itself; a block embedded in a larger expression is
 spliced in as its explicit P-Q word expansion.
 
+The lexer is one pass of one compiled ``re.ASCII`` pattern over the
+text; each match is a token together with the blanks before it.  The
+syntax is ASCII only: any other character, be it a digit, a letter or
+a space elsewhere in Unicode, is an unexpected character.
+
+Scalar subexpressions fold as they are parsed.  A product whose factors
+are all scalars, a sum whose parts are all scalars and a negated scalar
+each become one :class:`ScalarNode` holding the exact value, so
+``(1 + 1)*Q`` parses to the tree of ``2*Q``.  Powers are not folded.
+
 Parentheses and unary minus nest at most ``MAX_NESTING`` levels deep,
 and an integer literal may have at most as many digits as Python reads
 into an int (:func:`max_int_digits`); past either bound the parser
@@ -29,8 +39,11 @@ raises :class:`ParseError`.
 
 from __future__ import annotations
 
+import functools
+import operator
+import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ordering as _conv
 from .exactnum import MINUS_ONE, ExactScalar, I, ONE, SQRT2, ZERO
@@ -50,7 +63,7 @@ from .opalg import (
 )
 
 # Deepest nesting of '(' and unary '-' the parser accepts; the recursive
-# descent takes up to six Python frames per level.
+# descent takes up to five Python frames per level.
 MAX_NESTING = 100
 
 
@@ -77,8 +90,7 @@ class ParseError(ValueError):
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     start: int
@@ -98,6 +110,7 @@ _SYMBOLS = {
 _ORDER_TAGS = {"pq": Ordering.PQ, "qp": Ordering.QP, "weyl": Ordering.WEYL}
 # The symbols allowed in a block, as commutative monomials Q^m P^r.
 _COMMUTING = {Symbol.Q: {(1, 0): ONE}, Symbol.P: {(0, 1): ONE}}
+_WORDS = {"i": "imag", "r2": "sqrt2", **dict.fromkeys(_SYMBOLS, "symbol")}
 _PUNCT = {
     "+": "plus",
     "-": "minus",
@@ -107,6 +120,20 @@ _PUNCT = {
     ")": "rparen",
     "}": "rbrace",
 }
+# The tokens that may end a term.
+_TERM_FOLLOW = frozenset(["plus", "minus", "rparen", "rbrace", "eof"])
+# One match per token, its leading blanks folded in: the blanks, then
+# digits with an optional '/' and denominator digits, a word with an
+# optional '{', one other character, or nothing at the end of the text.
+# The blanks are the ASCII characters str.isspace() accepts.  No
+# alternative starts on a blank, so a match never backtracks into them.
+_TOKEN = re.compile(
+    r"([\s\x1c-\x1f]*)"
+    r"(?:(\d+)(?:(/)(\d*))?|([A-Za-z]\w*)(\{)?|([^\s\x1c-\x1f])|\Z)",
+    re.ASCII,
+)
+# Token(*fields) without the Python-level NamedTuple.__new__.
+_token = functools.partial(tuple.__new__, Token)
 
 
 def max_int_digits() -> int:
@@ -116,81 +143,68 @@ def max_int_digits() -> int:
     return getter() if getter else 0
 
 
-def _digits_end(text: str, start: int, limit: int) -> int:
-    """End of the run of decimal digits at ``start``, at most ``limit`` long."""
-    end = start
-    while end < len(text) and text[end].isdecimal():
-        end += 1
+def _check_digits(start: int, end: int, limit: int) -> None:
     if limit and end - start > limit:
         raise ParseError(
             f"integer literal has more than {limit} digits", (start, end)
         )
-    return end
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with one ``eof`` token."""
     tokens: list[Token] = []
+    append = tokens.append
     limit = max_int_digits()
-    pos = 0
-    size = len(text)
-    while pos < size:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, pos, pos + 1))
-            pos += 1
-            continue
-        if ch.isdecimal():
-            end = _digits_end(text, pos, limit)
-            if end < size and text[end] == "/":
-                den_start = end + 1
-                den_end = _digits_end(text, den_start, limit)
-                if den_end == den_start:
-                    raise ParseError(
-                        "rational literal needs digits after '/'",
-                        (pos, den_start),
-                    )
-                tokens.append(
-                    Token("rational", text[pos:den_end], pos, den_end)
-                )
-                pos = den_end
-            else:
-                tokens.append(Token("int", text[pos:end], pos, end))
-                pos = end
-            continue
-        if ch.isalpha():
-            end = pos + 1
-            while end < size and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[pos:end]
+    start = 0
+    for blanks, num, slash, den, word, brace, ch in _TOKEN.findall(text):
+        if blanks:
+            start += len(blanks)
+        if ch:
+            kind = _PUNCT.get(ch)
+            if kind is None:
+                raise ParseError(f"unexpected character {ch!r}", (start, start + 1))
+            append(_token((kind, ch, start, start + 1)))
+            start += 1
+        elif word:
+            end = start + len(word)
             if word in _ORDER_TAGS:
-                if end < size and text[end] == "{":
-                    tokens.append(Token("order_open", word, pos, end + 1))
-                    pos = end + 1
-                    continue
-                raise ParseError(
-                    f"ordering tag {word!r} must be followed by '{{'",
-                    (pos, end),
-                    frozenset(["{"]),
-                )
-            if word == "i":
-                tokens.append(Token("imag", word, pos, end))
-            elif word == "r2":
-                tokens.append(Token("sqrt2", word, pos, end))
-            elif word in _SYMBOLS:
-                tokens.append(Token("symbol", word, pos, end))
-            else:
+                if not brace:
+                    raise ParseError(
+                        f"ordering tag {word!r} must be followed by '{{'",
+                        (start, end),
+                        frozenset(["{"]),
+                    )
+                append(_token(("order_open", word, start, end + 1)))
+                start = end + 1
+                continue
+            kind = _WORDS.get(word)
+            if kind is None:
                 raise ParseError(
                     f"unknown symbol {word!r}",
-                    (pos, end),
+                    (start, end),
                     frozenset(["Q", "P", "a", "adag", "i", "r2"]),
                 )
-            pos = end
-            continue
-        raise ParseError(f"unexpected character {ch!r}", (pos, pos + 1))
-    tokens.append(Token("eof", "", size, size))
+            if brace:  # only an ordering tag opens a block
+                raise ParseError("unexpected character '{'", (end, end + 1))
+            append(_token((kind, word, start, end)))
+            start = end
+        elif num:
+            end = start + len(num)
+            _check_digits(start, end, limit)
+            if slash:
+                _check_digits(end + 1, end + 1 + len(den), limit)
+                if not den:
+                    raise ParseError(
+                        "rational literal needs digits after '/'", (start, end + 1)
+                    )
+                end += 1 + len(den)
+                append(_token(("rational", text[start:end], start, end)))
+            else:
+                append(_token(("int", num, start, end)))
+            start = end
+        else:
+            append(_token(("eof", "", start, start)))
+            break
     return tokens
 
 
@@ -204,34 +218,46 @@ def _rational_value(token: Token) -> ExactScalar:
         ) from None
 
 
+def _negate(node: FreeExpression) -> FreeExpression:
+    """-node, a scalar folded into its value."""
+    if type(node) is ScalarNode:
+        return ScalarNode(-node.value)
+    return -node
+
+
+def _fold(nodes: list, combine, node_type) -> FreeExpression:
+    """``node_type`` of ``nodes``, or one scalar if every node is one."""
+    if all(type(node) is ScalarNode for node in nodes):
+        return ScalarNode(functools.reduce(combine, [node.value for node in nodes]))
+    return node_type(tuple(nodes))
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0
         self.in_block = False
         self.blocks: dict[int, tuple[OrderedPolynomial, int]] = {}
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
     def expect(self, kind: str) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != kind:
             raise ParseError(
                 f"expected {kind}, found {token.text or 'end of input'!r}",
                 token.span,
                 frozenset([kind]),
             )
-        return self.advance()
+        self.pos += 1
+        return token
 
     def fail_junk(self, token: Token):
+        if token.kind == "caret":
+            raise ParseError(
+                "powers do not chain; parenthesize the base, as in (Q^2)^3",
+                token.span,
+                frozenset(["*", "+", "-"]),
+            )
         raise ParseError(
             f"unexpected {token.text or 'end of input'!r}; "
             f"operators must be explicit",
@@ -252,84 +278,83 @@ class _Parser:
 
     def parse_input(self) -> FreeExpression | OrderedPolynomial:
         # A lone ordering block yields the polynomial itself.
-        if self.peek().kind == "order_open":
-            mark = self.pos
+        if self.tokens[0].kind == "order_open":
             block = self.parse_block()
-            if self.peek().kind == "eof":
+            if self.tokens[self.pos].kind == "eof":
                 return block
-            self.pos = mark
+            self.pos = 0
         expr = self.parse_expr()
         self.expect("eof")
         return expr
 
     def parse_expr(self) -> FreeExpression:
+        tokens = self.tokens
+        kind = tokens[self.pos].kind
+        if kind == "minus":
+            self.pos += 1
         parts = []
-        negate = False
-        if self.peek().kind == "minus":
-            self.advance()
-            negate = True
-        term = self.parse_term()
-        parts.append(-term if negate else term)
-        while self.peek().kind in ("plus", "minus"):
-            op = self.advance()
+        while True:
             term = self.parse_term()
-            parts.append(-term if op.kind == "minus" else term)
-        return parts[0] if len(parts) == 1 else SumNode(tuple(parts))
+            parts.append(_negate(term) if kind == "minus" else term)
+            # parse_term checked that a '+', '-' or an end follows.
+            kind = tokens[self.pos].kind
+            if kind != "plus" and kind != "minus":
+                break
+            self.pos += 1
+        return parts[0] if len(parts) == 1 else _fold(parts, operator.add, SumNode)
 
     def parse_term(self) -> FreeExpression:
+        tokens = self.tokens
         factors = [self.parse_unary()]
-        while self.peek().kind == "star":
-            self.advance()
+        while tokens[self.pos].kind == "star":
+            self.pos += 1
             factors.append(self.parse_unary())
-        token = self.peek()
-        if token.kind not in ("plus", "minus", "rparen", "rbrace", "eof"):
+        token = tokens[self.pos]
+        if token.kind not in _TERM_FOLLOW:
             self.fail_junk(token)
-        return factors[0] if len(factors) == 1 else ProductNode(tuple(factors))
+        return factors[0] if len(factors) == 1 else _fold(factors, operator.mul, ProductNode)
 
     def parse_unary(self) -> FreeExpression:
-        token = self.peek()
+        """A unary, with its factor's power read here too."""
+        token = self.tokens[self.pos]
         if token.kind == "minus":
-            self.advance()
-            return -self.nested(token, self.parse_unary)
-        return self.parse_factor()
-
-    def parse_factor(self) -> FreeExpression:
-        base = self.parse_primary()
-        if self.peek().kind == "caret":
-            self.advance()
-            exponent = self.expect("int")
-            return PowerNode(base, int(exponent.text))
+            self.pos += 1
+            return _negate(self.nested(token, self.parse_unary))
+        base = self.parse_primary(token)
+        if self.tokens[self.pos].kind == "caret":
+            self.pos += 1
+            return PowerNode(base, int(self.expect("int").text))
         return base
 
-    def parse_primary(self) -> FreeExpression:
-        token = self.peek()
-        if token.kind == "int":
-            self.advance()
-            return ScalarNode(ExactScalar.from_int(int(token.text)))
-        if token.kind == "rational":
-            self.advance()
-            return ScalarNode(_rational_value(token))
-        if token.kind == "imag":
-            self.advance()
-            return ScalarNode(I)
-        if token.kind == "sqrt2":
-            self.advance()
-            return ScalarNode(SQRT2)
-        if token.kind == "symbol":
+    def parse_primary(self, token: Token) -> FreeExpression:
+        kind = token.kind
+        if kind == "symbol":
             symbol = _SYMBOLS[token.text]
             if self.in_block and symbol not in _COMMUTING:
                 raise ParseError(
                     "ladder symbols cannot appear inside an ordering block",
                     token.span,
                 )
-            self.advance()
+            self.pos += 1
             return SymbolNode(symbol)
-        if token.kind == "lparen":
-            self.advance()
+        if kind == "int":
+            self.pos += 1
+            return ScalarNode(ExactScalar.from_int(int(token.text)))
+        if kind == "rational":
+            self.pos += 1
+            return ScalarNode(_rational_value(token))
+        if kind == "imag":
+            self.pos += 1
+            return ScalarNode(I)
+        if kind == "sqrt2":
+            self.pos += 1
+            return ScalarNode(SQRT2)
+        if kind == "lparen":
+            self.pos += 1
             inner = self.nested(token, self.parse_expr)
             self.expect("rparen")
             return inner
-        if token.kind == "order_open":
+        if kind == "order_open":
             if self.in_block:
                 raise ParseError("ordering blocks cannot nest", token.span)
             block = self.parse_block()

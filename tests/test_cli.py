@@ -91,6 +91,31 @@ def test_convert_rejects_ladder_symbols(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, start",
+    [("\u0663*Q", 0), ("Q\xa0+ 1", 1), ("Q\u00e9", 1)],
+)
+def test_non_ascii_input_exits_2(capsys, schema, text, start):
+    message = f"unexpected character {text[start]!r}"
+    code, out, err = run(capsys, "convert", text, "--to", "pq")
+    assert code == 2 and not out
+    assert err.startswith(message + "\n")
+    code, doc = run_json(capsys, schema, "convert", text, "--to", "pq", "--format", "json")
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"]["message"].startswith(message + "\n")
+    assert doc["payload"]["span"] == [start, start + 1]
+
+
+def test_chained_powers_exit_2_naming_the_remedy(capsys, schema):
+    message = "powers do not chain; parenthesize the base, as in (Q^2)^3"
+    code, out, err = run(capsys, "convert", "Q^2^3", "--to", "pq")
+    assert code == 2 and not out
+    assert err == f"{message}\n  Q^2^3\n     ^\nexpected: *, +, -\n"
+    code, doc = run_json(capsys, schema, "convert", "Q^2^3", "--to", "pq", "--format", "json")
+    assert code == 2
+    assert doc["payload"] == {"message": err.rstrip("\n"), "span": [3, 4]}
+
+
 def test_commutator_goldens(capsys):
     code, out, _ = run(capsys, "commutator", "Q", "P")
     assert code == 0 and out.strip() == "i"
@@ -167,6 +192,14 @@ def test_expand_power_two(capsys):
     )
     assert code == 0
     assert out.strip() == "Q^2 + 2*P*Q + P^2 + i"
+
+
+def test_scalar_sums_count_as_one_word(capsys):
+    # (1 + 1) folds to 2 as it parses, so its 30th power is one word of
+    # 30 symbols, not 2^30 words.
+    assert cli._expansion_size(exprio.parse("(1 + 1)*Q")) == (1, 1)
+    code, out, err = run(capsys, "expand", "(1 + 1)*Q", "--power", "30", "--to", "pq")
+    assert (code, out, err) == (0, "1073741824*Q^30\n", "")
 
 
 @pytest.mark.parametrize(
@@ -427,6 +460,26 @@ def test_transform_input_validation(capsys, tmp_path):
     )
     assert code == 2
     assert "NaN" not in stdout and "Infinity" not in stdout
+
+
+def test_transform_refuses_a_header_past_the_cell_cap(capsys, tmp_path):
+    cap = phasexform.MAX_CSV_CELLS
+    with pytest.raises(SystemExit):
+        cli.main(["transform", "--help"])
+    assert f"at most {cap} " in " ".join(capsys.readouterr().out.split())
+    path = tmp_path / "header.csv"
+    path.write_text(f"0,1,0,1,{cap // 1024 + 1},1024\n")
+    code, out, err = run(capsys, "transform", "--input", str(path))
+    assert code == 2 and not out
+    assert err == (
+        f"cannot read input grid: line 1: header declares {cap // 1024 + 1}x1024 "
+        f"cells, more than the {cap} a grid file may hold\n"
+    )
+    # At the cap the header is accepted and the missing cells are reported.
+    path.write_text(f"0,1,0,1,{cap // 1024},1024\n")
+    code, out, err = run(capsys, "transform", "--input", str(path))
+    assert code == 2
+    assert "file ends before line 2" in err
 
 
 def test_usage_error_exit_code():

@@ -1,6 +1,8 @@
 import json
 import random
 import string
+import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,10 @@ from weylkit.opalg import (
     Monomial,
     OrderedPolynomial,
     Ordering,
+    PowerNode,
+    ProductNode,
+    ScalarNode,
+    SumNode,
     rewrite_to_pq,
 )
 from weylkit.ordering import CommutativePoly2
@@ -149,6 +155,51 @@ def test_unary_minus_shapes():
     }
 
 
+def test_scalar_subexpressions_fold_as_they_parse():
+    coeff = parse("(4 + -8/3*r2 + -2*i*r2)")
+    assert coeff == ScalarNode(
+        ExactScalar.from_int(4)
+        - ExactScalar.rational(8, 3) * SQRT2
+        - ExactScalar.from_int(2) * I * SQRT2
+    )
+    assert parse("-(2*3) + 1/2 - i") == ScalarNode(
+        ExactScalar.rational(-11, 2) - I
+    )
+    assert parse("--3") == ScalarNode(ExactScalar.from_int(3))
+    assert parse("1 - 1") == ScalarNode(ExactScalar.from_int(0))
+    # Symbols stop a fold, and powers are never folded.
+    assert isinstance(parse("2*3*Q"), ProductNode)
+    assert isinstance(parse("1 + Q"), SumNode)
+    assert isinstance(parse("-Q"), ProductNode)
+    assert isinstance(parse("2^3"), PowerNode)
+    term = parse("(4 + -8/3*r2 + -2*i*r2)*Q^3*P^2")
+    assert isinstance(term, ProductNode)
+    assert term.children[0] == coeff
+
+
+def test_chained_powers_name_their_remedy():
+    for text, start in (("Q^2^3", 3), ("(P + Q)^2 ^3", 10), ("-Q^1^1", 4)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.message == (
+            "powers do not chain; parenthesize the base, as in (Q^2)^3"
+        )
+        assert err.value.span == (start, start + 1)
+        assert err.value.expected == frozenset(["*", "+", "-"])
+    assert rewrite_to_pq(parse("(Q^2)^3")).terms == {Monomial(6, 0): ONE}
+
+
+@pytest.mark.parametrize(
+    "text, start",
+    [("\u0663*Q", 0), ("Q\xa0+ 1", 1), ("Q\u00e9", 1), ("pq{Q\u2003}", 4)],
+)
+def test_non_ascii_characters_are_refused(text, start):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message == f"unexpected character {text[start]!r}"
+    assert err.value.span == (start, start + 1)
+
+
 def test_tokenize_spans_nest():
     tokens = tokenize("pq{Q^2} + 1/2")
     assert [t.kind for t in tokens] == [
@@ -249,6 +300,158 @@ def test_parser_fuzz_seeded_corpus():
 
 
 _MINUS_ONE = ExactScalar.from_int(-1)
+_REFERENCE_PUNCT = {
+    "+": "plus",
+    "-": "minus",
+    "*": "star",
+    "^": "caret",
+    "(": "lparen",
+    ")": "rparen",
+    "}": "rbrace",
+}
+_REFERENCE_WORDS = {"i": "imag", "r2": "sqrt2", "Q": "symbol", "P": "symbol",
+                    "a": "symbol", "adag": "symbol"}
+
+
+def _reference_digits_end(text: str, start: int, limit: int) -> int:
+    end = start
+    while end < len(text) and text[end].isdecimal():
+        end += 1
+    if limit and end - start > limit:
+        raise ParseError(
+            f"integer literal has more than {limit} digits", (start, end)
+        )
+    return end
+
+
+def _reference_tokenize(text: str) -> list[tuple]:
+    """The lexer as a loop over characters, giving (kind, text, start,
+    end) tuples.  On ASCII text it must agree with :func:`tokenize`."""
+    tokens = []
+    limit = max_int_digits()
+    pos = 0
+    size = len(text)
+    while pos < size:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch in _REFERENCE_PUNCT:
+            tokens.append((_REFERENCE_PUNCT[ch], ch, pos, pos + 1))
+            pos += 1
+            continue
+        if ch.isdecimal():
+            end = _reference_digits_end(text, pos, limit)
+            if end < size and text[end] == "/":
+                den_start = end + 1
+                den_end = _reference_digits_end(text, den_start, limit)
+                if den_end == den_start:
+                    raise ParseError(
+                        "rational literal needs digits after '/'",
+                        (pos, den_start),
+                    )
+                tokens.append(("rational", text[pos:den_end], pos, den_end))
+                pos = den_end
+            else:
+                tokens.append(("int", text[pos:end], pos, end))
+                pos = end
+            continue
+        if ch.isalpha():
+            end = pos + 1
+            while end < size and (text[end].isalnum() or text[end] == "_"):
+                end += 1
+            word = text[pos:end]
+            if word in ("pq", "qp", "weyl"):
+                if end < size and text[end] == "{":
+                    tokens.append(("order_open", word, pos, end + 1))
+                    pos = end + 1
+                    continue
+                raise ParseError(
+                    f"ordering tag {word!r} must be followed by '{{'",
+                    (pos, end),
+                    frozenset(["{"]),
+                )
+            if word not in _REFERENCE_WORDS:
+                raise ParseError(
+                    f"unknown symbol {word!r}",
+                    (pos, end),
+                    frozenset(["Q", "P", "a", "adag", "i", "r2"]),
+                )
+            tokens.append((_REFERENCE_WORDS[word], word, pos, end))
+            pos = end
+            continue
+        raise ParseError(f"unexpected character {ch!r}", (pos, pos + 1))
+    tokens.append(("eof", "", size, size))
+    return tokens
+
+
+def _lexed(lexer, text: str):
+    """The token tuples of ``text``, or its error's (message, span, expected)."""
+    try:
+        return [tuple(token) for token in lexer(text)]
+    except ParseError as exc:
+        return (exc.message, exc.span, exc.expected)
+
+
+# Every character the grammar uses, the ASCII blanks str.isspace()
+# accepts, and a few it refuses.
+ascii_grammar_text = st.text(
+    alphabet=st.sampled_from(
+        list("QPadgirwyeql2{}()+-*^/0123456789 \t\n\r\x0b\x0c\x1c\x1f_.$xZ")
+    ),
+    max_size=40,
+)
+
+
+@given(ascii_grammar_text)
+@example("pq{Q^2} + 1/2")
+@example("weyl {Q}")
+@example("Q{P}")
+@example("12/ 3")
+@example("Q\x1c+\x1fP  ")
+@settings(max_examples=2000, deadline=None)
+def test_lexer_matches_the_reference_on_ascii(text):
+    assert _lexed(tokenize, text) == _lexed(_reference_tokenize, text)
+
+
+def test_lexer_matches_the_reference_on_all_ascii_characters():
+    rng = random.Random(20261019)
+    alphabet = "".join(map(chr, range(128)))
+    for _ in range(20000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 12)))
+        assert _lexed(tokenize, text) == _lexed(_reference_tokenize, text), text
+
+
+@pytest.fixture
+def digit_limit_640():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str digit limit on this Python")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)
+
+
+def test_lexer_digit_limits_match_the_reference(digit_limit_640):
+    long, edge = "9" * 641, "9" * 640
+    for text in (
+        f"{long}*Q",
+        f"{edge}*Q",
+        f"1/{long}",
+        f"{long}/",
+        f"{edge}/{edge}",
+        f"{long}/{long}",
+        f"{edge}/{long} + Q",
+        f"Q^{long}",
+        f"pq{{1/{long}}}",
+        f"  {long}",
+    ):
+        want = _lexed(_reference_tokenize, text)
+        assert _lexed(tokenize, text) == want, text[:12]
+        if long in text:
+            assert want[0] == "integer literal has more than 640 digits"
+
+
 _REFERENCE_SCALARS = {
     "int": lambda text: ExactScalar(Fraction(int(text))),
     "rational": lambda text: ExactScalar(Fraction(text)),
@@ -266,13 +469,16 @@ def _reference_product(x: CommutativePoly2, y: CommutativePoly2) -> CommutativeP
     )
 
 
+_ReferenceToken = namedtuple("_ReferenceToken", "kind text start end")
+
+
 class _ReferenceBlock:
     """The block grammar as its own recursive descent, building the
     commutative value while it parses, to check the parser's fold of
     the block's free parse tree.  Valid bodies only."""
 
     def __init__(self, body: str):
-        self.tokens = tokenize(body)
+        self.tokens = [_ReferenceToken(*token) for token in _reference_tokenize(body)]
         self.pos = 0
 
     def peek(self) -> str:
