@@ -16,9 +16,8 @@ need numpy, so they and the names they export load on first access:
 ``fockspace``, ``FockMatrix``, ``PhasePoint``, ``TruncationError``,
 ``build_ladder``, ``build_qp``, ``coherent_state``, ``evaluate``,
 ``marginal_check``, ``wigner_function`` and ``wigner_operator``;
-``phasexform``, ``SampledField``, ``derivative_representation``,
-``forward_transform``, ``inverse_transform``, ``monomial_forward``,
-``monomial_inverse`` and ``parseval_check``.
+``phasexform``, ``SampledField``, ``forward_transform``,
+``inverse_transform`` and ``parseval_check``.
 """
 
 import importlib
@@ -42,6 +41,7 @@ from .ordering import (
     CommutativePoly2,
     commutator_closed_form,
     convert,
+    derivative_representation,
     hermite_two_var,
     p_plus_q_power,
     pq_to_qp,
@@ -64,9 +64,7 @@ _LAZY = {
         "wigner_operator",
     ),
     "phasexform": (
-        "SampledField", "derivative_representation", "forward_transform",
-        "inverse_transform", "monomial_forward", "monomial_inverse",
-        "parseval_check",
+        "SampledField", "forward_transform", "inverse_transform", "parseval_check",
     ),
 }
 
@@ -105,8 +103,6 @@ __all__ = [
     "hermite_two_var",
     "inverse_transform",
     "marginal_check",
-    "monomial_forward",
-    "monomial_inverse",
     "normal_order",
     "p_plus_q_power",
     "parse",

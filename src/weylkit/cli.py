@@ -30,7 +30,7 @@ from .opalg import (
 
 OK, MISMATCH, USAGE = 0, 1, 2
 
-_TAGS = {"pq": Ordering.PQ, "qp": Ordering.QP, "weyl": Ordering.WEYL}
+_TAG_NAMES = sorted(tag.value for tag in Ordering)
 MAX_DEGREE_GUARD = 8
 MAX_DIM_GUARD = 128
 # The wigner suite's inputs need this many Fock levels: below 8 its
@@ -168,7 +168,7 @@ def _emit_polynomial(poly: OrderedPolynomial, as_json: bool) -> int:
 def cmd_convert(args) -> int:
     as_json = args.format == "json"
     try:
-        poly = _to_polynomial(exprio.parse(args.expr), _TAGS[args.to])
+        poly = _to_polynomial(exprio.parse(args.expr), Ordering(args.to))
     except exprio.ParseError as exc:
         return _print_error(exc.pretty(args.expr), as_json, exc.span)
     except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
@@ -200,7 +200,7 @@ def cmd_expand(args) -> int:
         return _print_error("--power must be non-negative", as_json)
     try:
         base = _as_words(exprio.parse(args.expr))
-        poly = _to_polynomial(PowerNode(base, args.power), _TAGS[args.to])
+        poly = _to_polynomial(PowerNode(base, args.power), Ordering(args.to))
     except exprio.ParseError as exc:
         return _print_error(exc.pretty(args.expr), as_json, exc.span)
     except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=bounds,
     )
     p_convert.add_argument("expr", help="expression, e.g. 'Q*P' or 'weyl{Q^2*P}'")
-    p_convert.add_argument("--to", required=True, choices=sorted(_TAGS))
+    p_convert.add_argument("--to", required=True, choices=_TAG_NAMES)
     p_convert.add_argument("--format", choices=["text", "json"], default="text")
     p_convert.set_defaults(func=cmd_convert)
 
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_expand.add_argument("expr")
     p_expand.add_argument("--power", type=int, required=True)
-    p_expand.add_argument("--to", required=True, choices=sorted(_TAGS))
+    p_expand.add_argument("--to", required=True, choices=_TAG_NAMES)
     p_expand.add_argument("--format", choices=["text", "json"], default="text")
     p_expand.set_defaults(func=cmd_expand)
 

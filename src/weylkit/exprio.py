@@ -107,7 +107,7 @@ _SYMBOLS = {
     "a": Symbol.A,
     "adag": Symbol.ADAG,
 }
-_ORDER_TAGS = {"pq": Ordering.PQ, "qp": Ordering.QP, "weyl": Ordering.WEYL}
+_ORDER_TAGS = {tag.value: tag for tag in Ordering}
 # The symbols allowed in a block, as commutative monomials Q^m P^r.
 _COMMUTING = {Symbol.Q: {(1, 0): ONE}, Symbol.P: {(0, 1): ONE}}
 _WORDS = {"i": "imag", "r2": "sqrt2", **dict.fromkeys(_SYMBOLS, "symbol")}

@@ -10,18 +10,20 @@ with the factor f read by source and target tag from ``_FACTORS``:
 generator lives in :mod:`weylkit.opalg` beside :func:`weylkit.opalg._product`,
 the package's one polynomial product, which reorders by the same family;
 :class:`CommutativePoly2` multiplies through it with f = 0.  The
-closed-form commutators, :func:`convert`, the (P+Q)^n expansions and the
-symbolic phase-space transform in :mod:`weylkit.phasexform` are sums
-over the same generator, each accumulated by one
+closed-form commutators, :func:`convert` and the (P+Q)^n expansions
+are sums over the same generator, each accumulated by one
 :func:`weylkit.opalg.collect`.
 
-The same reduction arises from two-variable Hermite polynomials with
-scaled arguments; both routes are implemented (the Hermite route
-symbolically, over Q(i, sqrt2)) and their exact agreement is part of
-the test suite, so :func:`hermite_two_var` keeps its own factorial
-formula.  Everything here is a pure function over exact scalars, so
-conversions can be cross-checked bit-for-bit against the brute-force
-rewriting oracle in :mod:`weylkit.opalg`, which shares none of this code.
+Two second routes reach the same coefficients without reading
+``_FACTORS``, and ``weylkit verify hermite`` checks both exactly:
+two-variable Hermite polynomials with scaled arguments give the Weyl
+images of words (:func:`_weyl_image_via_hermite`, over Q(i, sqrt2), so
+:func:`hermite_two_var` keeps its own factorial formula), and repeated
+differentiation of e^{-2ist} gives :func:`weyl_to_pq`
+(:func:`derivative_representation`).  Everything here is a pure
+function over exact scalars, so conversions can be cross-checked
+bit-for-bit against the brute-force rewriting oracle in
+:mod:`weylkit.opalg`, which shares none of this code.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .opalg import (
 )
 
 MINUS_I_HALF = -I_HALF
+MINUS_2I = MINUS_I * ExactScalar.from_int(2)
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,26 @@ def _weyl_image_via_hermite(m: int, r: int, conjugated: bool) -> CommutativePoly
         SQRT2, (I if not conjugated else MINUS_I) * SQRT2
     )
     return scaled.scale(prefactor)
+
+
+def derivative_representation(m: int, r: int) -> CommutativePoly2:
+    """Coefficients of :func:`weyl_to_pq` (m, r) via repeated
+    differentiation of e^{-2ist}.
+
+    Computes e^{2ist} (d/dt)^r (d/ds)^m e^{-2ist} on the polynomial
+    prefactor and divides by (-2i)^(m+r): each derivative of the
+    exponential word pulls down a factor -2i times the dual variable, so
+    the raw result overshoots by exactly that power.
+    """
+    # u(t, s) tracks the prefactor of e^{-2ist}; vars are (t, s) = (0, 1).
+    u = CommutativePoly2.monomial(0, 0)
+    t_factor = CommutativePoly2.monomial(1, 0, MINUS_2I)
+    s_factor = CommutativePoly2.monomial(0, 1, MINUS_2I)
+    for _ in range(m):
+        u = u.derivative(1) + u * t_factor
+    for _ in range(r):
+        u = u.derivative(0) + u * s_factor
+    return u.scale(I_HALF ** (m + r))
 
 
 def commutator_closed_form(m: int, r: int, variant: Ordering) -> OrderedPolynomial:

@@ -1,4 +1,4 @@
-"""Two-fold phase-space transform, numeric on grids and symbolic on monomials.
+"""Two-fold phase-space transform of fields sampled on a grid.
 
 The forward transform is
 
@@ -22,12 +22,20 @@ n x n grid costs O(n^2 log n) where two dense chirp matrix products
 cost O(n^3).  The FFTs run on rows in blocks of ``_CHIRP_ROWS``, one
 thread per usable core, each in its own reused buffer; the blocks
 depend on the grid alone, so the result is bit-identical for any number
-of cores.  Monomial inputs do not decay, so they are
-handled only symbolically: the transform of x^m y^r is a two-variable
-Hermite polynomial in closed form, and the same polynomial falls out of
-repeated differentiation of e^{-2ist} (up to the normalization
-(-2i)^(m+r), which the derivative route divides out so both paths agree
-exactly).
+of cores.
+
+Against the source paper: its transform of the Wigner operator has the
+kernel e^{-2i(p-p')(q-q')}, so the paper's forward transform is
+:func:`inverse_transform` here.  Both kernels here carry 1/pi, which
+makes a round trip the identity (``weylkit verify transform`` checks
+it); the paper prints its inverse without 1/pi, and composing that pair
+as printed gives pi times the identity.
+
+Monomials do not decay, so on a grid they come out flagged unreliable.
+The test suite transforms q^m p^r times a Gaussian and extrapolates in
+its width: the forward transform of q^m p^r is the polynomial in (q, p)
+whose coefficients are those of :func:`weylkit.ordering.weyl_to_pq`
+(m, r).
 """
 
 from __future__ import annotations
@@ -41,10 +49,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exactnum import ExactScalar, I_HALF, MINUS_I
-from .opalg import _conversion_terms
-from .ordering import MINUS_I_HALF, CommutativePoly2
-
 BOUNDARY_DECAY = 1e-10
 _CHIRP_ROWS = 128
 # Most cells a grid file may declare: twice the largest grid the package
@@ -52,8 +56,6 @@ _CHIRP_ROWS = 128
 # file peaks at 160 MB resident and takes about 10 s, mostly reading and
 # writing text (2-core x86-64, Python 3.11, numpy 2.4).
 MAX_CSV_CELLS = 1 << 21
-
-MINUS_2I = MINUS_I * ExactScalar.from_int(2)
 
 
 class GridDomainWarning(UserWarning):
@@ -384,50 +386,3 @@ def parseval_check(h: SampledField) -> tuple[float, float]:
     rhs = float((np.abs(g.values) ** 2).sum() * (g.dq * g.dp / np.pi))
     return lhs, rhs
 
-
-# ---------------------------------------------------------------------------
-# Symbolic monomial path
-# ---------------------------------------------------------------------------
-
-
-def monomial_forward(m: int, r: int) -> CommutativePoly2:
-    """Exact transform image of x^m y^r, a polynomial in (t, s).
-
-    Closed form: sum_l (i/2)^l l! C(m,l) C(r,l) t^(m-l) s^(r-l); the
-    test suite pins this against the literal scaled-Hermite expression
-    and against the regularized numeric transform.
-    """
-    return CommutativePoly2.from_terms(_conversion_terms(m, r, I_HALF))
-
-
-def monomial_inverse(m: int, r: int) -> CommutativePoly2:
-    """Round trip of the symbolic maps; equals the bare monomial t^m s^r.
-
-    Applies the inverse coefficient map, extended linearly, to
-    :func:`monomial_forward`.
-    """
-    return CommutativePoly2.from_terms(
-        (key, c * coeff)
-        for (j, k), coeff in monomial_forward(m, r).terms.items()
-        for key, c in _conversion_terms(j, k, MINUS_I_HALF)
-    )
-
-
-def derivative_representation(m: int, r: int) -> CommutativePoly2:
-    """Transform of x^m y^r via repeated differentiation of e^{-2ist}.
-
-    Computes e^{2ist} (d/dt)^r (d/ds)^m e^{-2ist} on the polynomial
-    prefactor and divides by (-2i)^(m+r): each derivative of the
-    exponential word pulls down a factor -2i times the dual variable, so
-    the raw result overshoots the integral transform by exactly that
-    power.  Must equal :func:`monomial_forward` for all m, r.
-    """
-    # u(t, s) tracks the prefactor of e^{-2ist}; vars are (t, s) = (0, 1).
-    u = CommutativePoly2.monomial(0, 0)
-    t_factor = CommutativePoly2.monomial(1, 0, MINUS_2I)
-    s_factor = CommutativePoly2.monomial(0, 1, MINUS_2I)
-    for _ in range(m):
-        u = u.derivative(1) + u * t_factor
-    for _ in range(r):
-        u = u.derivative(0) + u * s_factor
-    return u.scale(I_HALF ** (m + r))

@@ -212,9 +212,8 @@ def suite_commutators(max_degree: int = 6) -> list[CheckResult]:
 
 
 def suite_hermite(max_degree: int = 8) -> list[CheckResult]:
-    """Two-variable Hermite identities behind the symbolic transforms."""
-    from . import phasexform
-
+    """Two-variable Hermite identities and the second routes to the
+    conversion coefficients."""
     top = max_degree
     hermite_top = min(top, 6)
     return [
@@ -229,24 +228,9 @@ def suite_hermite(max_degree: int = 8) -> list[CheckResult]:
             == {(2, 1): ONE, (1, 0): ExactScalar.from_int(-2)},
         ),
         _sweep(
-            f"derivative representation equals forward symbol, m,r <= {top}",
+            f"derivative representation equals Weyl to P-Q coefficients, m,r <= {top}",
             _grid(top),
-            lambda m, r: [
-                (
-                    phasexform.derivative_representation(m, r),
-                    phasexform.monomial_forward(m, r),
-                )
-            ],
-        ),
-        _sweep(
-            f"inverse symbol map recovers bare monomials, m,r <= {top}",
-            _grid(top),
-            lambda m, r: [
-                (
-                    phasexform.monomial_inverse(m, r),
-                    conv.CommutativePoly2.monomial(m, r),
-                )
-            ],
+            lambda m, r: [(conv.derivative_representation(m, r), conv.weyl_to_pq(m, r))],
         ),
         _sweep(
             f"scaled-Hermite route equals reduced Weyl coefficients, m,r <= {hermite_top}",

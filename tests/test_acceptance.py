@@ -125,10 +125,10 @@ def test_criterion_4_hermite_derivative_consistency():
     for m in range(9):
         for r in range(9):
             assert (
-                phasexform.derivative_representation(m, r).terms
-                == phasexform.monomial_forward(m, r).terms
+                conv.derivative_representation(m, r).terms
+                == conv.weyl_to_pq(m, r).terms
             )
-    _report(4, "derivative route equals forward symbols, m,r <= 8")
+    _report(4, "derivative route equals Weyl to P-Q coefficients, m,r <= 8")
 
 
 def test_criterion_5_wigner_marginals():

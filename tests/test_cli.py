@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shlex
@@ -518,6 +519,9 @@ def test_exact_commands_load_no_numpy():
         "print(numpy_loaded())",
         "cli.main(['verify', 'orderings', '--max-degree', '3'])",
         "print(numpy_loaded())",
+        "cli.main(['verify', 'hermite', '--max-degree', '3'])",
+        "from weylkit import derivative_representation",
+        "print(numpy_loaded())",
     ])
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -525,7 +529,43 @@ def test_exact_commands_load_no_numpy():
     lines = out.stdout.splitlines()
     assert lines[0] == lines[2] == lines[-1] == "[]"
     assert lines[1] == "weyl{Q^2*P + -i*Q}"
-    assert lines[-2] == "orderings: 6/6 checks passed"
+    assert lines[lines.index("orderings: 6/6 checks passed") + 1] == "[]"
+    assert lines[-2] == "hermite: 4/4 checks passed"
+
+
+def _imports(path, top_level_only):
+    """Dotted names a source file imports (relative ones start with a
+    dot), each ``from`` import also as module.name; with
+    ``top_level_only``, not those inside functions."""
+    names = set()
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if top_level_only and isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_module_layering():
+    src = Path(cli.__file__).parent
+    exact = ("exactnum", "opalg", "ordering", "exprio", "verify")
+    imported = _imports(src / "phasexform.py", top_level_only=False)
+    assert not {
+        name for name in imported
+        if name.lstrip(".").removeprefix("weylkit.") in exact
+    }
+    for module in exact + ("cli",):
+        imported = _imports(src / f"{module}.py", top_level_only=True)
+        assert not {n for n in imported if n.split(".")[0] == "numpy"}, module
 
 
 def test_numeric_names_load_on_first_access(capsys):

@@ -14,7 +14,7 @@ from weylkit.opalg import (
     rewrite_to_qp,
     to_expression,
 )
-from weylkit import ordering as conv
+from weylkit import ordering as conv, verify
 
 TWO = ExactScalar.from_int(2)
 I_HALF = I * ExactScalar.rational(1, 2)
@@ -43,6 +43,7 @@ def terms_c(poly):
 def test_weyl_to_pq_examples():
     assert terms(conv.weyl_to_pq(0, 0)) == {(0, 0): ONE}
     assert terms(conv.weyl_to_pq(1, 1)) == {(1, 1): ONE, (0, 0): I_HALF}
+    assert terms(conv.weyl_to_pq(2, 0)) == {(2, 0): ONE}
     assert terms(conv.weyl_to_pq(2, 1)) == {(2, 1): ONE, (1, 0): I}
 
 
@@ -169,10 +170,18 @@ def test_hermite_reduction_consistency(m, r):
     assert conv._weyl_image_via_hermite(m, r, True).terms == reduced
 
 
+def test_hermite_suite_sees_a_wrong_weyl_to_pq_factor(monkeypatch):
+    monkeypatch.setitem(conv._FACTORS, (Ordering.WEYL, Ordering.PQ), I)
+    failed = [c.name for c in verify.suite_hermite() if not c.passed]
+    assert failed == [
+        "derivative representation equals Weyl to P-Q coefficients, m,r <= 8"
+    ]
+
+
 def test_round_trip_all_tag_pairs():
     tags = (Ordering.PQ, Ordering.QP, Ordering.WEYL)
-    for m in range(4):
-        for r in range(4):
+    for m in range(9):
+        for r in range(9):
             for t1 in tags:
                 start = OrderedPolynomial.monomial(t1, m, r)
                 for t2 in tags:

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weylkit import phasexform as px
+from weylkit import ordering as conv, phasexform as px
 from weylkit.exactnum import ExactScalar, I, ONE
 
 I_HALF = I * ExactScalar.rational(1, 2)
@@ -262,25 +262,13 @@ def test_parseval_examples():
     assert abs(rhs_s - 0.5) < 1e-5
 
 
-def test_monomial_forward_examples():
-    assert px.monomial_forward(0, 0).terms == {(0, 0): ONE}
-    assert px.monomial_forward(1, 1).terms == {(1, 1): ONE, (0, 0): I_HALF}
-    assert px.monomial_forward(2, 0).terms == {(2, 0): ONE}
-
-
-def test_monomial_inverse_examples():
-    assert px.monomial_inverse(1, 1).terms == {(1, 1): ONE}
-    assert px.monomial_inverse(3, 2).terms == {(3, 2): ONE}
-    assert px.monomial_inverse(0, 0).terms == {(0, 0): ONE}
-
-
 def test_derivative_representation_examples():
-    assert px.derivative_representation(0, 0).terms == {(0, 0): ONE}
+    assert conv.derivative_representation(0, 0).terms == {(0, 0): ONE}
     # single derivatives: one s-derivative leaves t, one t-derivative
     # leaves s, each after dividing out the raw -2i factor
-    assert px.derivative_representation(1, 0).terms == {(1, 0): ONE}
-    assert px.derivative_representation(0, 1).terms == {(0, 1): ONE}
-    assert px.derivative_representation(1, 1).terms == {
+    assert conv.derivative_representation(1, 0).terms == {(1, 0): ONE}
+    assert conv.derivative_representation(0, 1).terms == {(0, 1): ONE}
+    assert conv.derivative_representation(1, 1).terms == {
         (1, 1): ONE,
         (0, 0): I_HALF,
     }
@@ -290,8 +278,8 @@ def test_derivative_representation_examples():
 @pytest.mark.parametrize("r", range(9))
 def test_derivative_representation_equals_forward(m, r):
     assert (
-        px.derivative_representation(m, r).terms
-        == px.monomial_forward(m, r).terms
+        conv.derivative_representation(m, r).terms
+        == conv.weyl_to_pq(m, r).terms
     )
 
 
@@ -332,7 +320,7 @@ def test_regularized_monomials_extrapolate_to_symbol():
             first = 2.0 * images[0.01] - images[0.02]
             second = 2.0 * images[0.005] - images[0.01]
             extrapolated = (4.0 * second - first) / 3.0
-            symbol = px.monomial_forward(m, r)
+            symbol = conv.weyl_to_pq(m, r)
             tt, ss = np.meshgrid(t_pts, s_pts, indexing="ij")
             exact = np.zeros_like(extrapolated)
             for (i, j), coeff in symbol.terms.items():
