@@ -23,9 +23,12 @@ obey the Laguerre three-term recurrence rescaled to them,
 
 which walks every diagonal d at once: a dim x dim block at N points
 costs O(dim^2 N), with no factorial and no special-function call.
+Every consumer contracts each column as it is generated, over passes
+of at most ``_KERNEL_CHUNK`` points, so memory stays O(dim * chunk)
+and no block per point is ever formed.
 
-Quadratures use the midpoint rule on uniform grids; grid sweeps are
-vectorized one line at a time so results are reproducible independent
+Quadratures use the midpoint rule on uniform grids.  Passes are
+accumulated in a fixed order, so results are reproducible independent
 of any parallel scheduling.
 """
 
@@ -40,8 +43,8 @@ import numpy as np
 from .opalg import OrderedPolynomial, Ordering
 
 SQRT2 = math.sqrt(2.0)
-# Points per pass of wigner_function: bounds its memory at O(dim * chunk).
-_WIGNER_CHUNK = 4096
+# Points per pass of every kernel sweep: bounds its memory at O(dim * chunk).
+_KERNEL_CHUNK = 4096
 
 
 class TruncationError(ValueError):
@@ -156,37 +159,9 @@ def displacement(alpha: complex, dim: int) -> np.ndarray:
 def _kernel_columns(qs: np.ndarray, ps: np.ndarray, dim: int):
     """Yield, for k = 0..dim-1, the kernel column Delta[k+d, k] for d < dim-k.
 
-    Each column has shape (dim-k, n) over the n points; the recurrence
-    and its normalisation are stated in :func:`_kernel_blocks`.  The
-    parity sign (-1)^k rides along by flipping the middle coefficient
-    to (x-2k-1-d).
-    """
-    beta = SQRT2 * (qs + 1j * ps)
-    x = np.abs(beta) ** 2
-    col = np.empty((dim, len(qs)), dtype=complex)
-    col[0] = np.exp(-0.5 * x) / np.pi
-    for d in range(1, dim):
-        col[d] = col[d - 1] * beta / math.sqrt(d)
-    prev = col
-    diag = np.arange(dim, dtype=float)[:, None]
-    for k in range(dim):
-        yield col
-        rows = dim - k - 1
-        if rows == 0:
-            return
-        d = diag[:rows]
-        inv = 1.0 / np.sqrt((k + 1) * (k + 1 + d))
-        step = ((x - 2 * k - 1 - d) * inv) * col[:rows]
-        if k:
-            step -= (np.sqrt(k * (k + d)) * inv) * prev[:rows]
-        prev, col = col[:rows], step
-
-
-def _kernel_blocks(qs: np.ndarray, ps: np.ndarray, block: int) -> np.ndarray:
-    """Top-left block of the kernel operator at each point, shape (n, block, block).
-
-    Entries are (1/pi) (-1)^k <j|D(2 alpha)|k> with the displacement
-    matrix element in Laguerre closed form,
+    Each column has shape (dim-k, n) over the n points.  Entries are
+    (1/pi) (-1)^k <j|D(2 alpha)|k> with the displacement matrix element
+    in Laguerre closed form,
 
         <j|D(b)|k> = sqrt(k!/j!) b^(j-k) e^{-|b|^2/2} L_k^(j-k)(|b|^2),
 
@@ -200,20 +175,64 @@ def _kernel_blocks(qs: np.ndarray, ps: np.ndarray, block: int) -> np.ndarray:
 
         sqrt((k+1)(k+1+d)) e_{k+1} = (2k+1+d-x) e_k - sqrt(k(k+d)) e_{k-1},
 
-    one step per k over every diagonal and point (:func:`_kernel_columns`).
-    Each is a matrix element of a unitary over pi, so |e_k^(d)| <= 1/pi:
-    nothing overflows and no factorial is formed.  These are the entries
-    of the untruncated operator, so they decay like e^{-(q^2+p^2)} and
-    quadratures against polynomial weights converge on any fixed block.
+    one step per k over every diagonal and point.  The parity sign
+    (-1)^k rides along by flipping the middle coefficient to (x-2k-1-d);
+    the coefficients depend only on (k, d) and are tabled once per call.
+    Each entry is a matrix element of a unitary over pi, so
+    |e_k^(d)| <= 1/pi: nothing overflows and no factorial is formed.
+    These are the entries of the untruncated operator, so they decay like
+    e^{-(q^2+p^2)} and quadratures against polynomial weights converge on
+    any fixed block.
+    """
+    beta = SQRT2 * (qs + 1j * ps)
+    x = np.abs(beta) ** 2
+    col = np.empty((dim, len(qs)), dtype=complex)
+    col[0] = np.exp(-0.5 * x) / np.pi
+    for d in range(1, dim):
+        col[d] = col[d - 1] * beta / math.sqrt(d)
+    # Recurrence coefficients, indexed [k, d].
+    ks = np.arange(dim, dtype=float)[:, None]
+    ds = ks.T
+    middle = 2 * ks + 1 + ds
+    inv = 1.0 / np.sqrt((ks + 1) * (ks + 1 + ds))
+    lower = np.sqrt(ks * (ks + ds)) * inv
+    prev = col
+    for k in range(dim):
+        yield col
+        rows = dim - k - 1
+        if rows == 0:
+            return
+        step = ((x - middle[k, :rows, None]) * inv[k, :rows, None]) * col[:rows]
+        if k:
+            step -= lower[k, :rows, None] * prev[:rows]
+        prev, col = col[:rows], step
+
+
+def _fill_upper(acc: np.ndarray) -> np.ndarray:
+    """Fill the strict upper triangle of each trailing square of ``acc``
+    from its lower triangle by Hermiticity; real weights keep it."""
+    acc += np.tril(acc, -1).conj().swapaxes(-1, -2)
+    return acc
+
+
+def _kernel_sums(qs, ps, weights, block: int) -> np.ndarray:
+    """Weighted sums of the kernel's top-left block, shape (W, block, block).
+
+    Entry i is sum_n weights[i, n] Delta(q_n, p_n) for real weights of
+    shape (W, n).  Points are taken ``_KERNEL_CHUNK`` at a time and each
+    column is contracted with the weights as it is generated, one matrix
+    product per k, so no block per point is ever formed.
     """
     qs = np.asarray(qs, dtype=float)
     ps = np.asarray(ps, dtype=float)
-    # Filled as [j, k, point] so every write is contiguous over the points.
-    out = np.empty((block, block, len(qs)), dtype=complex)
-    for k, col in enumerate(_kernel_columns(qs, ps, block)):
-        out[k:, k] = col
-        out[k, k + 1:] = col[1:].conj()
-    return np.moveaxis(out, -1, 0)
+    out = np.zeros((len(weights), block, block), dtype=complex)
+    for start in range(0, len(qs), _KERNEL_CHUNK):
+        part = slice(start, start + _KERNEL_CHUNK)
+        # Complex so each product stays in BLAS.
+        wt = np.asarray(weights[:, part], dtype=complex).T
+        for k, col in enumerate(_kernel_columns(qs[part], ps[part], block)):
+            out[:, k:, k] += (col @ wt).T
+    return _fill_upper(out)
 
 
 def wigner_operator(pt: PhasePoint, dim: int) -> FockMatrix:
@@ -230,7 +249,7 @@ def wigner_operator(pt: PhasePoint, dim: int) -> FockMatrix:
             f"|alpha|^2 = {mod2:.3f} too large for dim {dim}; "
             f"need |alpha|^2 <= dim/8"
         )
-    data = _kernel_blocks(np.array([pt.q]), np.array([pt.p]), dim)[0]
+    data = _kernel_sums([pt.q], [pt.p], np.ones((1, 1)), dim)[0]
     reliable = max(1, dim - math.ceil(8.0 * mod2))
     return FockMatrix(data, reliable)
 
@@ -297,8 +316,8 @@ def wigner_function(rho: FockMatrix | np.ndarray, q_axis, p_axis) -> np.ndarray:
     # Delta[j,k] for j >= k, and Hermiticity gives the mirror term
     # rho[j,k] conj(Delta[j,k]), summed as conj(conj(rho[j,k]) Delta[j,k])
     # so that only the short row of rho is conjugated.
-    for start in range(0, len(qs), _WIGNER_CHUNK):
-        part = slice(start, start + _WIGNER_CHUNK)
+    for start in range(0, len(qs), _KERNEL_CHUNK):
+        part = slice(start, start + _KERNEL_CHUNK)
         acc = total[part]
         for k, col in enumerate(_kernel_columns(qs[part], ps[part], dim)):
             acc += mat[k, k:] @ col + (mat[k + 1:, k].conj() @ col[1:]).conj()
@@ -360,12 +379,12 @@ def marginal_check(
     grid = -half_range + (np.arange(count) + 0.5) * step
     fixed = np.full(count, float(value))
     if axis == "q":
-        blocks = _kernel_blocks(fixed, grid, block)
+        qs, ps = fixed, grid
         analytic = position_projector(value, block)
     else:
-        blocks = _kernel_blocks(grid, fixed, block)
+        qs, ps = grid, fixed
         analytic = momentum_projector(value, block)
-    numeric = blocks.sum(axis=0) * step
+    numeric = _kernel_sums(qs, ps, np.full((1, count), step), block)[0]
     reliable = int(max(1, min(block, ((half_range - 4.0) ** 2 - 1.0) // 2)))
     return (
         FockMatrix(numeric, reliable),
@@ -390,8 +409,10 @@ def monomial_quantization_quadrature(
     Returns the top-left ``block`` square of each operator
     double-integral dq dp q^m p^r Delta(q, p) for m + r up to the given
     total degree, by the midpoint rule on [-L, L]^2.  One sweep serves
-    every monomial: the kernel blocks of a grid line are reused for all
-    weights, and lines are accumulated in a fixed order.
+    every monomial: each pass takes as many whole grid lines as fit
+    ``_KERNEL_CHUNK`` points, contracts every kernel column along the
+    lines against the p powers and then across them against the q
+    powers, and passes are accumulated in a fixed order.
     """
     monomials = [
         (m, r)
@@ -400,16 +421,24 @@ def monomial_quantization_quadrature(
     ]
     count = int(round(2.0 * half_range / step))
     grid = -half_range + (np.arange(count) + 0.5) * step
-    # Row r holds p^r on the grid; complex so the contraction stays in BLAS.
-    powers = np.vander(grid, max_total_degree + 1, increasing=True).T.astype(complex)
-    acc = {mr: np.zeros((block, block), dtype=complex) for mr in monomials}
-    for q_value in grid:
-        blocks = _kernel_blocks(np.full(count, q_value), grid, block)
-        partial = (powers @ blocks.reshape(count, -1)).reshape(-1, block, block)
-        for m, r in monomials:
-            acc[(m, r)] += (q_value**m) * partial[r]
+    # powers[i, r] = grid[i]^r; complex so the contractions stay in BLAS.
+    powers = np.vander(grid, max_total_degree + 1, increasing=True).astype(complex)
+    # acc[m, r] holds the lower triangle of the q^m p^r integral.
+    top = max_total_degree + 1
+    acc = np.zeros((top, top, block, block), dtype=complex)
+    lines = max(1, _KERNEL_CHUNK // count)
+    for start in range(0, count, lines):
+        q_powers = powers[start:start + lines].T
+        taken = q_powers.shape[1]
+        qs = np.repeat(grid[start:start + lines], count)
+        ps = np.tile(grid, taken)
+        for k, col in enumerate(_kernel_columns(qs, ps, block)):
+            # Sum along each line against p^r, then across lines against q^m.
+            by_p = (col.reshape(-1, count) @ powers).reshape(block - k, taken, -1)
+            acc[:, :, k:, k] += np.moveaxis(q_powers @ by_p, 0, -1)
+    _fill_upper(acc)
     weight = step * step
-    return {mr: mat * weight for mr, mat in acc.items()}
+    return {(m, r): acc[m, r] * weight for m, r in monomials}
 
 
 def symbol_quantization(

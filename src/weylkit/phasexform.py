@@ -26,7 +26,9 @@ of cores.
 
 Against the source paper: its transform of the Wigner operator has the
 kernel e^{-2i(p-p')(q-q')}, so the paper's forward transform is
-:func:`inverse_transform` here.  Both kernels here carry 1/pi, which
+:func:`inverse_transform` here; ``weylkit verify transform`` checks
+that it takes the Wigner operator to delta(p-P) delta(q-Q), and
+:func:`forward_transform` to delta(q-Q) delta(p-P).  Both kernels here carry 1/pi, which
 makes a round trip the identity (``weylkit verify transform`` checks
 it); the paper prints its inverse without 1/pi, and composing that pair
 as printed gives pi times the identity.

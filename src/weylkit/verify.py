@@ -4,9 +4,9 @@ Each suite returns a list of :class:`CheckResult` so the command line,
 the test suite and downstream harnesses all consume one implementation.
 Exact checks report max_error 0.0 on success.  A failing exact sweep
 names its first failing case, and carries the computed and oracle
-renderings when both sides are ordered polynomials.  Numeric checks
-report the measured error against the stated tolerance.  The numeric
-suites import numpy when they run, so the exact ones never load it.
+renderings.  Numeric checks report the measured error against the
+stated tolerance.  The numeric suites import numpy when they run, so
+the exact ones never load it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .opalg import (
 )
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+# Block of the Wigner operator whose transforms `verify transform` checks.
+_DELTA_BLOCK = 6
 
 
 @dataclass
@@ -87,18 +89,26 @@ def _numeric(name: str, error: float, tolerance: float, detail: str = "") -> Che
 def _sweep(name: str, cases, pairs) -> CheckResult:
     """Exact check over ``cases``: ``pairs(*case)`` yields (computed,
     oracle) pairs, and the first case where a pair's terms differ fails
-    the check.  Both sides are rendered when both are ordered polynomials."""
+    the check.  Both sides are rendered; a commutative polynomial takes
+    the ordering tag of the ordered side it is compared with."""
     for case in cases:
         for got, want in pairs(*case):
             if got.terms != want.terms:
-                shown = all(isinstance(x, OrderedPolynomial) for x in (got, want))
+                tag = (got if isinstance(got, OrderedPolynomial) else want).ordering
+                computed, oracle = (
+                    exprio.render(
+                        x if isinstance(x, OrderedPolynomial)
+                        else OrderedPolynomial.from_terms(tag, x.terms.items())
+                    )
+                    for x in (got, want)
+                )
                 return CheckResult(
                     name,
                     False,
                     math.inf,
                     detail=f"first failure at {case if len(case) > 1 else case[0]}",
-                    computed=exprio.render(got) if shown else None,
-                    oracle=exprio.render(want) if shown else None,
+                    computed=computed,
+                    oracle=oracle,
                 )
     return CheckResult(name, True)
 
@@ -365,10 +375,11 @@ def suite_wigner(dim: int = 64) -> list[CheckResult]:
 
 
 def suite_transform() -> list[CheckResult]:
-    """Grid transform: Gaussian pair, round trip, norm identity, linearity."""
+    """Grid transform: Gaussian pair, round trip, norm identity,
+    linearity, and the transforms of the Wigner operator."""
     import numpy as np
 
-    from . import phasexform
+    from . import fockspace, phasexform
 
     checks: list[CheckResult] = []
     gauss = phasexform.SampledField.from_function(
@@ -443,7 +454,68 @@ def suite_transform() -> list[CheckResult]:
     checks.append(
         _numeric("transform is linear", float(np.abs(lin).max()), 1e-12)
     )
+
+    (qs, ps), inverse, forward, edge = _wigner_operator_images()
+    # <m|p><p|q><q|n> = i^m psi_m(p) e^{-ipq} psi_n(q) / sqrt(2 pi).
+    delta_pq = np.stack([
+        np.outer(
+            (1j) ** np.arange(_DELTA_BLOCK) * fockspace.hermite_functions(p, _DELTA_BLOCK),
+            fockspace.hermite_functions(q, _DELTA_BLOCK),
+        ) * np.exp(-1j * p * q) / math.sqrt(2.0 * math.pi)
+        for q, p in zip(qs, ps)
+    ], axis=-1)
+    detail = f"block {_DELTA_BLOCK}, [-8,8]^2, 400x400, 16 points, kernel edge {edge:.1e}"
+    checks.append(
+        _numeric(
+            "inverse transform of the Wigner operator is delta(p-P) delta(q-Q)",
+            float(np.abs(inverse - delta_pq).max()),
+            1e-12,
+            detail=detail,
+        )
+    )
+    checks.append(
+        _numeric(
+            "forward transform of the Wigner operator is delta(q-Q) delta(p-P)",
+            float(np.abs(forward - delta_pq.conj().swapaxes(0, 1)).max()),
+            1e-12,
+            detail=detail,
+        )
+    )
     return checks
+
+
+def _wigner_operator_images():
+    """Both grid transforms of each entry <j|Delta(q', p')|k>, j, k < 6.
+
+    The entries come from the kernel columns on the 400^2 grid of
+    [-8, 8]^2, and each of the 36 is transformed on its own.  Returns the
+    (q, p) of 16 interior cells, the inverse and forward images there as
+    (6, 6, 16) arrays, and the entries' largest magnitude on the grid
+    edge, which the transform needs far below its decay threshold.
+    """
+    import numpy as np
+
+    from . import fockspace, phasexform
+
+    shell = phasexform.SampledField.from_function(lambda qg, pg: 0.0 * qg)
+    nq, np_ = shell.nq, shell.np_
+    rows, cols = np.meshgrid([120, 170, 230, 280], [130, 190, 215, 265], indexing="ij")
+    cells = (rows.ravel(), cols.ravel())
+    qg, pg = np.meshgrid(shell.q_axis, shell.p_axis, indexing="ij")
+    inverse = np.empty((_DELTA_BLOCK, _DELTA_BLOCK, len(cells[0])), dtype=complex)
+    forward = np.empty_like(inverse)
+    edge = 0.0
+    columns = fockspace._kernel_columns(qg.ravel(), pg.ravel(), _DELTA_BLOCK)
+    for k, col in enumerate(columns):
+        for d, entry in enumerate(col):
+            # Delta[k, k+d] = conj(Delta[k+d, k]): the kernel is Hermitian.
+            mirror = [(k, k + d, entry.conj())] if d else []
+            for j, i, values in [(k + d, k, entry)] + mirror:
+                field = replace(shell, values=values.reshape(nq, np_))
+                edge = max(edge, field.boundary_max())
+                inverse[j, i] = phasexform.inverse_transform(field).values[cells]
+                forward[j, i] = phasexform.forward_transform(field).values[cells]
+    return (shell.q_axis[cells[0]], shell.p_axis[cells[1]]), inverse, forward, edge
 
 
 SUITES = {

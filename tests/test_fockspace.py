@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def _trust_disc_points(block, count, rng):
 @pytest.mark.parametrize("block", [1, 2, 8, 64, 128])
 def test_kernel_blocks_match_laguerre_reference(block):
     qs, ps = _trust_disc_points(block, 40, np.random.default_rng(block))
-    got = fs._kernel_blocks(qs, ps, block)
+    got = fs._kernel_sums(qs, ps, np.eye(len(qs)), block)
     assert np.abs(got - _reference_kernel_blocks(qs, ps, block)).max() < 1e-12
 
 
@@ -120,9 +121,28 @@ def test_kernel_blocks_at_marginal_scale_points():
     rng = np.random.default_rng(11)
     qs = np.concatenate([[4.0, -4.0, 4.0, 0.0], rng.uniform(-4.0, 4.0, 20)])
     ps = np.concatenate([[12.0, -12.0, 0.0, 12.0], rng.uniform(-12.0, 12.0, 20)])
-    got = fs._kernel_blocks(qs, ps, 128)
+    got = fs._kernel_sums(qs, ps, np.eye(len(qs)), 128)
     assert np.isfinite(got).all()
     assert np.abs(got - _reference_kernel_blocks(qs, ps, 128)).max() < 1e-12
+
+
+def test_quadrature_sweep_matches_reference_across_pass_seams():
+    # 100 lines at 40 lines per pass: two full passes and a partial one.
+    half_range, step, block = 2.5, 0.05, 6
+    count = int(round(2.0 * half_range / step))
+    lines = fs._KERNEL_CHUNK // count
+    assert count > lines and count % lines
+    got = fs.monomial_quantization_quadrature(
+        4, block=block, half_range=half_range, step=step
+    )
+    grid = -half_range + (np.arange(count) + 0.5) * step
+    want = {mr: 0.0 for mr in got}
+    for q_value in grid:
+        blocks = _reference_kernel_blocks(np.full(count, q_value), grid, block)
+        for m, r in got:
+            want[m, r] += np.einsum("n,njk->jk", q_value**m * grid**r, blocks)
+    for mr, mat in got.items():
+        assert np.abs(mat - want[mr] * step * step).max() < 1e-12, mr
 
 
 def test_wigner_function_matches_reference_across_chunks():
@@ -133,10 +153,10 @@ def test_wigner_function_matches_reference_across_chunks():
     rho /= np.trace(rho)
     # |q|, |p| <= 4 keeps every point inside the trust disc of dim 128.
     axis = np.linspace(-4.0, 4.0, 65)
-    assert len(axis) ** 2 > fs._WIGNER_CHUNK
+    assert len(axis) ** 2 > fs._KERNEL_CHUNK
     got = fs.wigner_function(rho, axis, axis).ravel()
     qg, pg = np.meshgrid(axis, axis, indexing="ij")
-    seam = fs._WIGNER_CHUNK
+    seam = fs._KERNEL_CHUNK
     picks = np.unique(np.concatenate([
         [0, len(got) - 1],
         np.arange(seam - 3, seam + 3),
@@ -266,6 +286,30 @@ def test_marginal_origin_entries():
     assert np.abs(numeric.data - analytic.data).max() < 1e-6
     numeric_p, _ = fs.marginal_check("p", 0.0, 64, block=8)
     assert abs(numeric_p.data[0, 0].real - 1.0 / math.sqrt(math.pi)) < 1e-6
+
+
+def test_marginal_matches_reference_sum():
+    # 8000 points: the chunk seam falls near q = 0.3, where the kernel
+    # is large.
+    step, half_range = 0.003, 12.0
+    grid = -half_range + (np.arange(8000) + 0.5) * step
+    assert len(grid) > fs._KERNEL_CHUNK
+    numeric, _ = fs.marginal_check("p", 1.5, 64, block=12, step=step)
+    blocks = _reference_kernel_blocks(grid, np.full(len(grid), 1.5), 12)
+    assert np.abs(numeric.data - blocks.sum(axis=0) * step).max() < 1e-12
+
+
+def test_marginal_memory_is_bounded_by_the_chunk():
+    # One (points x block x block) array would be 629 MB at block 128 on
+    # 2400 points; a few columns of (block x points) are about 5 MB each.
+    tracemalloc.start()
+    try:
+        numeric, _ = fs.marginal_check("q", 0.0, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert np.isfinite(numeric.data).all()
 
 
 def test_marginal_check_guards():

@@ -14,7 +14,7 @@ from weylkit.opalg import (
     rewrite_to_qp,
     to_expression,
 )
-from weylkit import ordering as conv, verify
+from weylkit import exprio, ordering as conv, verify
 
 TWO = ExactScalar.from_int(2)
 I_HALF = I * ExactScalar.rational(1, 2)
@@ -172,10 +172,19 @@ def test_hermite_reduction_consistency(m, r):
 
 def test_hermite_suite_sees_a_wrong_weyl_to_pq_factor(monkeypatch):
     monkeypatch.setitem(conv._FACTORS, (Ordering.WEYL, Ordering.PQ), I)
-    failed = [c.name for c in verify.suite_hermite() if not c.passed]
-    assert failed == [
+    failed = [c for c in verify.suite_hermite() if not c.passed]
+    assert [c.name for c in failed] == [
         "derivative representation equals Weyl to P-Q coefficients, m,r <= 8"
     ]
+    # The commutative derivative route is rendered with the P-Q tag.
+    (check,) = failed
+    assert check.detail == "first failure at (1, 1)"
+    route = conv.derivative_representation(1, 1).terms.items()
+    assert check.computed == exprio.render(
+        OrderedPolynomial.from_terms(Ordering.PQ, route)
+    )
+    assert check.oracle == exprio.render(conv.weyl_to_pq(1, 1))
+    assert check.computed != check.oracle
 
 
 def test_round_trip_all_tag_pairs():

@@ -8,8 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import eval_hermite
 
-from weylkit import ordering as conv, phasexform as px
+from weylkit import ordering as conv, phasexform as px, verify
 from weylkit.exactnum import ExactScalar, I, ONE
 
 I_HALF = I * ExactScalar.rational(1, 2)
@@ -281,6 +282,28 @@ def test_derivative_representation_equals_forward(m, r):
         conv.derivative_representation(m, r).terms
         == conv.weyl_to_pq(m, r).terms
     )
+
+
+def test_transforms_of_the_wigner_operator_are_the_ordered_deltas():
+    # The source paper's identity: (1/pi) double-integral Delta(q', p')
+    # e^{-2i(p-p')(q-q')} dq' dp' = delta(p-P) delta(q-Q), which is
+    # inverse_transform here; forward_transform gives delta(q-Q) delta(p-P).
+    (qs, ps), inverse, forward, edge = verify._wigner_operator_images()
+    n = np.arange(6)[:, None]
+    norm = 1.0 / np.sqrt(2.0**n * np.array([math.factorial(k) for k in range(6)])[:, None])
+    psi = lambda x: norm * math.pi**-0.25 * eval_hermite(n, x) * np.exp(-x * x / 2.0)
+    # <m|p><p|q><q|n> = i^m psi_m(p) e^{-ipq} psi_n(q) / sqrt(2 pi).
+    delta_pq = (
+        ((1j) ** n * psi(ps))[:, None] * psi(qs)[None]
+        * np.exp(-1j * ps * qs) / math.sqrt(2.0 * math.pi)
+    )
+    delta_qp = delta_pq.conj().swapaxes(0, 1)
+    assert edge < px.BOUNDARY_DECAY
+    assert np.abs(inverse - delta_pq).max() < 1e-12
+    assert np.abs(forward - delta_qp).max() < 1e-12
+    # The two orderings differ by far more, so the check tells them apart.
+    assert np.abs(inverse - delta_qp).max() > 0.1
+    assert np.abs(forward - delta_pq).max() > 0.1
 
 
 def test_regularized_monomials_extrapolate_to_symbol():
