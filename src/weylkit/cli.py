@@ -25,7 +25,6 @@ from .opalg import (
     SymbolNode,
     UnsupportedSymbolError,
     rewrite_to_pq,
-    to_expression,
 )
 
 OK, MISMATCH, USAGE = 0, 1, 2
@@ -89,12 +88,15 @@ _EXPANSION_BOUNDS = (
 )
 
 
-def _check_expansion(e: FreeExpression) -> None:
+def _rewrite(e: FreeExpression) -> OrderedPolynomial:
+    """The P-Q form of a bare expression, if its expansion is in bounds."""
     words, longest = _expansion_size(e)
     if longest > MAX_WORD_SYMBOLS or words * longest**3 > MAX_EXPANSION_WORK:
         raise ExpansionTooLargeError(
             "expression too large to rewrite: " + _EXPANSION_BOUNDS
         )
+    # Kept on the rewriting oracle: bench's cli-exact traces opalg here.
+    return rewrite_to_pq(e)
 
 
 def _emit(outcome: dict, as_json: bool, text: str) -> None:
@@ -104,54 +106,35 @@ def _emit(outcome: dict, as_json: bool, text: str) -> None:
         print(text)
 
 
-def _error_outcome(message: str, span=None) -> dict:
-    payload = {"message": message}
-    if span is not None:
-        payload["span"] = list(span)
-    return {"status": "error", "payload": payload}
-
-
 def _print_error(message: str, as_json: bool, span=None) -> int:
     if as_json:
-        print(json.dumps(_error_outcome(message, span), indent=2))
+        payload = {"message": message}
+        if span is not None:
+            payload["span"] = list(span)
+        print(json.dumps({"status": "error", "payload": payload}, indent=2))
     else:
         print(message, file=sys.stderr)
     return USAGE
 
 
-def _as_words(value: OrderedPolynomial | FreeExpression) -> FreeExpression:
-    # A parsed block enters a bare expression as its P-Q words.
-    if isinstance(value, OrderedPolynomial):
-        return to_expression(conv.convert(value, Ordering.PQ))
-    return value
-
-
 def _to_polynomial(
     value: OrderedPolynomial | FreeExpression, target: Ordering
 ) -> OrderedPolynomial:
-    if isinstance(value, OrderedPolynomial):
-        return conv.convert(value, target)
-    _check_expansion(value)
-    # Kept on the rewriting oracle: bench's cli-exact traces opalg here.
-    canonical = rewrite_to_pq(value)
-    return conv.convert(canonical, target)
-
-
-def _polynomial_text(poly: OrderedPolynomial) -> str:
-    # P-Q and Q-P bodies re-parse as operator words with the same value;
-    # the symbolic Weyl tag keeps its wrapper.
-    if poly.ordering is Ordering.WEYL:
-        return exprio.render(poly)
-    return exprio.render_terms(poly)
+    if isinstance(value, FreeExpression):
+        value = _rewrite(value)
+    return conv.convert(value, target)
 
 
 def _emit_polynomial(poly: OrderedPolynomial, as_json: bool) -> int:
+    # P-Q and Q-P bodies re-parse as operator words with the same value;
+    # the symbolic Weyl tag keeps its wrapper.
+    render = exprio.render if poly.ordering is Ordering.WEYL else exprio.render_terms
     try:
         outcome = {
             "status": "ok",
             "payload": {
                 "result": exprio.polynomial_to_json(poly),
-                "text": _polynomial_text(poly),
+                "text": render(poly),
             },
         }
     except ValueError:
@@ -165,47 +148,49 @@ def _emit_polynomial(poly: OrderedPolynomial, as_json: bool) -> int:
     return OK
 
 
-def cmd_convert(args) -> int:
+def _run(args, sources: list[str], build) -> int:
+    """Parse each operand, ``build`` the result from them and print it.
+
+    A parse error shows the operand it is in.  A lone block reaches
+    ``build`` as the polynomial itself.
+    """
     as_json = args.format == "json"
+    operands = []
+    for source in sources:
+        try:
+            operands.append(exprio.parse(source))
+        except exprio.ParseError as exc:
+            return _print_error(exc.pretty(source), as_json, exc.span)
     try:
-        poly = _to_polynomial(exprio.parse(args.expr), Ordering(args.to))
-    except exprio.ParseError as exc:
-        return _print_error(exc.pretty(args.expr), as_json, exc.span)
+        poly = build(*operands)
     except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
         return _print_error(str(exc), as_json)
     return _emit_polynomial(poly, as_json)
+
+
+def _commutator(left, right) -> OrderedPolynomial:
+    left, right = exprio.as_words(left), exprio.as_words(right)
+    return _rewrite(left * right - right * left)
+
+
+def cmd_convert(args) -> int:
+    target = Ordering(args.to)
+    return _run(args, [args.expr], lambda value: _to_polynomial(value, target))
 
 
 def cmd_commutator(args) -> int:
-    as_json = args.format == "json"
-    # A parse error's span is relative to the operand being parsed.
-    source = args.left
-    try:
-        left_expr = _as_words(exprio.parse(source))
-        source = args.right
-        right_expr = _as_words(exprio.parse(source))
-        difference = left_expr * right_expr - right_expr * left_expr
-        _check_expansion(difference)
-        bracket = rewrite_to_pq(difference)
-    except exprio.ParseError as exc:
-        return _print_error(exc.pretty(source), as_json, exc.span)
-    except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
-        return _print_error(str(exc), as_json)
-    return _emit_polynomial(bracket, as_json)
+    return _run(args, [args.left, args.right], _commutator)
 
 
 def cmd_expand(args) -> int:
-    as_json = args.format == "json"
     if args.power < 0:
-        return _print_error("--power must be non-negative", as_json)
-    try:
-        base = _as_words(exprio.parse(args.expr))
-        poly = _to_polynomial(PowerNode(base, args.power), Ordering(args.to))
-    except exprio.ParseError as exc:
-        return _print_error(exc.pretty(args.expr), as_json, exc.span)
-    except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
-        return _print_error(str(exc), as_json)
-    return _emit_polynomial(poly, as_json)
+        return _print_error("--power must be non-negative", args.format == "json")
+
+    def build(base) -> OrderedPolynomial:
+        power = PowerNode(exprio.as_words(base), args.power)
+        return _to_polynomial(power, Ordering(args.to))
+
+    return _run(args, [args.expr], build)
 
 
 def cmd_verify(args) -> int:

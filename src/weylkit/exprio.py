@@ -17,9 +17,10 @@ body is parsed by the same rules into a :class:`FreeExpression` tree,
 which is then evaluated with the symbols commuting, by the package's one
 product (:func:`weylkit.opalg._evaluate` with f = 0): the block denotes an
 :class:`OrderedPolynomial` with that tag.  Inside a block, ladder
-symbols and nested blocks are refused.  A block standing alone parses to
-the polynomial itself; a block embedded in a larger expression is
-spliced in as its explicit P-Q word expansion.
+symbols and nested blocks are refused.  A block that is the whole input
+parses to the polynomial itself.  Any other block, whatever its tag, is
+spliced in as its P-Q words (:func:`as_words`), and the command line
+gives a lone block to ``commutator`` or ``expand`` the same splice.
 
 The lexer is one pass of one compiled ``re.ASCII`` pattern over the
 text; each match is a token together with the blanks before it.  The
@@ -238,7 +239,6 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.in_block = False
-        self.blocks: dict[int, tuple[OrderedPolynomial, int]] = {}
 
     def expect(self, kind: str) -> Token:
         token = self.tokens[self.pos]
@@ -275,17 +275,6 @@ class _Parser:
         value = parse()
         self.depth -= 1
         return value
-
-    def parse_input(self) -> FreeExpression | OrderedPolynomial:
-        # A lone ordering block yields the polynomial itself.
-        if self.tokens[0].kind == "order_open":
-            block = self.parse_block()
-            if self.tokens[self.pos].kind == "eof":
-                return block
-            self.pos = 0
-        expr = self.parse_expr()
-        self.expect("eof")
-        return expr
 
     def parse_expr(self) -> FreeExpression:
         tokens = self.tokens
@@ -357,11 +346,19 @@ class _Parser:
         if kind == "order_open":
             if self.in_block:
                 raise ParseError("ordering blocks cannot nest", token.span)
-            block = self.parse_block()
-            # Embedded block: splice in its explicit word expansion.
-            if block.ordering is Ordering.WEYL:
-                block = _conv.convert(block, Ordering.PQ)
-            return to_expression(block)
+            lone = self.pos == 0
+            self.pos += 1
+            self.in_block = True
+            body = self.parse_expr()
+            self.expect("rbrace")
+            self.in_block = False
+            block = OrderedPolynomial.from_terms(
+                _ORDER_TAGS[token.text], _evaluate(body, _COMMUTING, ZERO).items()
+            )
+            # A block that is the whole input is the polynomial itself.
+            if lone and self.tokens[self.pos].kind == "eof":
+                return block
+            return as_words(block)
         raise ParseError(
             f"expected a value, found {token.text or 'end of input'!r}",
             token.span,
@@ -372,30 +369,22 @@ class _Parser:
             ),
         )
 
-    def parse_block(self) -> OrderedPolynomial:
-        # Memoized by the opening token: parse_input backtracks over a
-        # leading block that more input follows and meets it again.
-        start = self.pos
-        if start in self.blocks:
-            block, self.pos = self.blocks[start]
-            return block
-        open_token = self.expect("order_open")
-        self.in_block = True
-        body = self.parse_expr()
-        self.expect("rbrace")
-        self.in_block = False
-        block = OrderedPolynomial.from_terms(
-            _ORDER_TAGS[open_token.text], _evaluate(body, _COMMUTING, ZERO).items()
-        )
-        self.blocks[start] = (block, self.pos)
-        return block
-
 
 def parse(text: str) -> FreeExpression | OrderedPolynomial:
     """Parse surface syntax; blocks alone give tagged polynomials."""
     if not isinstance(text, str):
         raise ParseError("input must be text", (0, 0))
-    return _Parser(text).parse_input()
+    parser = _Parser(text)
+    value = parser.parse_expr()
+    parser.expect("eof")
+    return value
+
+
+def as_words(value: FreeExpression | OrderedPolynomial) -> FreeExpression:
+    """``value`` as a bare expression: a block becomes its P-Q words."""
+    if isinstance(value, OrderedPolynomial):
+        return to_expression(_conv.convert(value, Ordering.PQ))
+    return value
 
 
 # ---------------------------------------------------------------------------

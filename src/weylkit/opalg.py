@@ -343,8 +343,9 @@ def _evaluate(tree: FreeExpression, leaves: Mapping, f: ExactScalar) -> dict:
     folded bottom-up and left to right with :func:`_product`.
 
     A symbol without a leaf is refused wherever it stands, even under a
-    zero coefficient.  A one-term leaf must be a bare generator with
-    coefficient ``ONE``, so that its power is one monomial.
+    zero coefficient.  A power of one term whose factors commute (any
+    term when f = 0, a power of one generator when f = 1) is one
+    monomial, its coefficient raised by squaring.
     """
     if isinstance(tree, SumNode):
         parts = (_evaluate(child, leaves, f).items() for child in tree.children)
@@ -358,9 +359,11 @@ def _evaluate(tree: FreeExpression, leaves: Mapping, f: ExactScalar) -> dict:
         return dict(leaves[tree.symbol])
     if isinstance(tree, PowerNode):
         base = _evaluate(tree.base, leaves, f)
-        if isinstance(tree.base, SymbolNode) and len(base) == 1:
-            ((a, b),) = base  # one monomial, not e - 1 products
-            return {(a * tree.exponent, b * tree.exponent): ONE}
+        if len(base) == 1:
+            (((a, b), c),) = base.items()
+            if not (a and b) or f.is_zero():  # one monomial, not e - 1 products
+                e = tree.exponent
+                return {(a * e, b * e): c if c is ONE else c**e}
         factors = itertools.repeat(base, tree.exponent)
     else:
         factors = (_evaluate(child, leaves, f) for child in tree.children)

@@ -238,6 +238,29 @@ def test_expansion_bounds_accept_their_edges(capsys):
     assert "digit limit" in help_text
 
 
+@pytest.mark.parametrize("tag", ["pq", "qp", "weyl"])
+def test_a_lone_block_counts_as_its_words_in_parentheses_too(capsys, tag):
+    # A block given alone to expand or commutator, and the same block in
+    # parentheses, are both its P-Q words to the size guard.
+    block = tag + "{{{}}}"
+    cases = [
+        ("expand", block.format("Q*P - i"), "--power", "12", "--to", "pq"),
+        ("expand", block.format("Q*P + 2*Q"), "--power", "3", "--to", "weyl"),
+        ("commutator", block.format("Q^24*P^24"), "Q"),
+        ("commutator", "P^2", block.format("Q^3*P - 1/2"), "--format", "json"),
+    ]
+    if tag == "qp":
+        # Q^6*P^6 is one Q-P word but seven P-Q words.
+        cases.append(("expand", "qp{Q^6*P^6}", "--power", "10", "--to", "pq"))
+    for argv in cases:
+        paren = [f"({arg})" if "{" in arg else arg for arg in argv]
+        assert run(capsys, *argv) == run(capsys, *paren), argv
+    code, out, _ = run(capsys, *cases[0])
+    assert (code, out.startswith("P^12*Q^12 + ")) == (
+        (0, True) if tag == "qp" else (2, False)
+    )
+
+
 _TOO_LONG = "9" * (exprio.max_int_digits() + 1)
 
 
@@ -566,6 +589,16 @@ def test_module_layering():
     for module in exact + ("cli",):
         imported = _imports(src / f"{module}.py", top_level_only=True)
         assert not {n for n in imported if n.split(".")[0] == "numpy"}, module
+    # Blocks become words in exprio alone; opalg defines to_expression.
+    for path in src.glob("*.py"):
+        if path.stem not in ("exprio", "opalg"):
+            tree = ast.parse(path.read_text())
+            names = {
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                or getattr(node, "name", None)
+                for node in ast.walk(tree)
+            }
+            assert "to_expression" not in names, path.name
 
 
 def test_numeric_names_load_on_first_access(capsys):

@@ -128,6 +128,25 @@ def test_parse_errors_carry_spans():
         assert fragment.lower() in str(err.value).lower(), text
         start, end = err.value.span
         assert 0 <= start <= end <= len(text)
+    # After a leading block the parse goes on as after any other value.
+    value = ["(", "pq{", "qp{", "scalar", "symbol", "weyl{"]
+    after_block = {
+        "pq{Q} Q": ("unexpected 'Q'; operators must be explicit", (6, 7), "*+-^"),
+        "pq{Q}}": ("expected eof, found '}'", (5, 6), ["eof"]),
+        "pq{Q} +": ("expected a value, found 'end of input'", (7, 7), value),
+        "pq{Q}^": ("expected int, found 'end of input'", (6, 6), ["int"]),
+        "pq{Q": ("expected rbrace, found 'end of input'", (4, 4), ["rbrace"]),
+        "pq{Q}*pq{P": ("expected rbrace, found 'end of input'", (10, 10), ["rbrace"]),
+        "pq{Q}(": ("unexpected '('; operators must be explicit", (5, 6), "*+-^"),
+    }
+    for text, (message, span, expected) in after_block.items():
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.message == message, text
+        assert err.value.span == span, text
+        assert err.value.expected == frozenset(expected), text
+    assert isinstance(parse("pq{Q}^2"), PowerNode)
+    assert isinstance(parse("-pq{Q}"), ProductNode)
 
 
 def test_pretty_error_shows_caret():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylkit import opalg
 from weylkit.exactnum import ZERO, ExactScalar, I, MINUS_I, ONE, SQRT2
 from weylkit.opalg import (
     A,
@@ -12,6 +13,7 @@ from weylkit.opalg import (
     OrderedPolynomial,
     Ordering,
     P,
+    PowerNode,
     ProductNode,
     Q,
     ScalarNode,
@@ -270,6 +272,38 @@ def test_product_edge_cases():
     assert normal_order(scalar(0)).is_zero()
     assert _product({}, {(1, 2): ONE}, ONE) == {}
     assert _product({(1, 0): ONE}, {(0, 1): ONE}, ZERO) == {(1, 1): ONE}
+
+
+def test_powers_of_one_commuting_term_are_one_monomial(monkeypatch):
+    # A one-term leaf whose factors commute (any term at f = 0, a power of
+    # one generator or a scalar at f = 1) is raised without the product;
+    # every power agrees with the product taken e - 1 times.
+    products = []
+
+    def counted(*args):
+        products.append(args)
+        return _product(*args)
+
+    two_i = 2 * I
+    cases = (
+        ({(2, 1): two_i}, ZERO, False),
+        ({(2, 0): two_i}, ONE, False),
+        ({(0, 1): two_i}, ONE, False),
+        ({(0, 0): two_i}, ONE, False),
+        ({(1, 1): ONE}, ONE, True),  # (a+ a)^e under normal_order
+        ({(1, 1): two_i}, MINUS_I, True),
+    )
+    for leaf, f, multiplies in cases:
+        leaves = {Symbol.Q: leaf}
+        for e in range(6):
+            want = _evaluate(ProductNode((Q,) * e), leaves, f)
+            monkeypatch.setattr(opalg, "_product", counted)
+            products.clear()
+            got = _evaluate(PowerNode(Q, e), leaves, f)
+            monkeypatch.undo()
+            assert got == want, (leaf, f, e)
+            assert len(products) == (max(e - 1, 0) if multiplies else 0), (leaf, e)
+    assert _evaluate(PowerNode(scalar(I), 10**8), {}, ZERO) == {(0, 0): ONE}
 
 
 def test_symbols_outside_the_algebra_are_refused_under_zero():
