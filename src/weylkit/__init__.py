@@ -35,7 +35,6 @@ from .opalg import (
     poly_equal,
     rewrite_to_pq,
     rewrite_to_qp,
-    substitute_ladder,
 )
 from .ordering import (
     CommutativePoly2,
@@ -116,7 +115,6 @@ __all__ = [
     "render_terms",
     "rewrite_to_pq",
     "rewrite_to_qp",
-    "substitute_ladder",
     "weyl_to_pq",
     "weyl_to_qp",
     "wigner_function",

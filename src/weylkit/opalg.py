@@ -7,7 +7,7 @@ right*left = left*right + f by the reordering family that
 :mod:`weylkit.ordering` converts with, :func:`_conversion_terms`, which
 lives here.  :func:`_evaluate` folds it over a parse tree: f = 0 for
 block bodies and :class:`weylkit.ordering.CommutativePoly2`, f = 1 over
-(a+, a) for :func:`normal_order` and :func:`substitute_ladder`.
+(a+, a) for :func:`normal_order`.
 
 The rewriting oracle (:func:`rewrite_to_pq`, :func:`rewrite_to_qp`,
 :func:`commutator`) uses none of it: it expands into words over the
@@ -20,10 +20,12 @@ symbol alphabet and applies adjacent-pair rules to exhaustion,
 Each swap strictly reduces the number of out-of-order pairs, so the
 process terminates; confluence makes the normal form independent of the
 scan strategy.  The rule is applied one pair at a time, at the leftmost
-out-of-order pair, but each intermediate word of one word's rewrite is
-normal-ordered once and the powers of the correction are counted as
-integers, so the cost is polynomial in the word length.  The oracle is
-the ground truth that every closed form is tested against.
+out-of-order pair, but each intermediate word is normal-ordered once
+per call: one memo, made by the call and dropped when it returns, is
+shared by every word of the expansion.  Powers of the correction are
+counted as integer path counts, which are summed across words before
+any exact product, so the cost is polynomial in the word length.  The
+oracle is the ground truth that every closed form is tested against.
 
 :func:`collect` is the package's single sparse-sum core.  All values are
 immutable and the operations are pure.
@@ -34,10 +36,11 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
-from .exactnum import ExactScalar, I, MINUS_I, ONE, SQRT2, ZERO
+from .exactnum import ExactScalar, I, MINUS_I, ONE, ZERO
 
 
 class UnsupportedSymbolError(ValueError):
@@ -379,7 +382,11 @@ def _evaluate(tree: FreeExpression, leaves: Mapping, f: ExactScalar) -> dict:
 
 
 def _rewrite_word(
-    word: Word, left: Symbol, right: Symbol, correction: ExactScalar
+    word: Word,
+    left: Symbol,
+    right: Symbol,
+    correction: ExactScalar,
+    memo: dict[str, tuple[list[int], int]],
 ) -> tuple[dict[tuple[int, int], ExactScalar], int]:
     """Normal-order one word so every `left` stands left of every `right`.
 
@@ -389,57 +396,86 @@ def _rewrite_word(
     inversion from the word it rewrites, so chains are bounded by the
     inversion count and never exceed len(word)**2.
 
-    The rule is still applied one pair at a time, but each intermediate
-    word is normal-ordered once per call: a memo, dropped on return, maps
-    it to an integer path count per output key (#right, #left) and its
-    longest chain.  Powers of the correction are counted as integers:
-    each contraction removes one right/left pair, so a key was reached by
-    k = (len(word) - #right - #left) / 2 contractions and its coefficient
-    is  count * correction**k.
+    ``memo`` belongs to the calling rewrite and lasts one call: it maps
+    each intermediate word, normal-ordered once, to its integer path
+    counts by the number k of contractions and its longest chain.  A word
+    of R `right`s and L `left`s reaches key (#right, #left) = (R - k,
+    L - k) with coefficient count * correction**k; across the words of
+    one call the counts are summed as integers before any exact product.
     """
-    for sym in word:
-        if sym is not left and sym is not right:
-            raise UnsupportedSymbolError(
-                f"symbol {sym.value!r} not supported by this rewrite"
-            )
-    # One character per symbol: "l" for `left`, "r" for `right`.
-    text = "".join("l" if sym is left else "r" for sym in word)
-    if "rl" not in text:
-        return {(text.count("r"), text.count("l")): ONE}, 0
-    memo: dict[str, tuple[dict[tuple[int, int], int], int]] = {}
-    stack = [text]
-    while stack:
-        current = stack[-1]
-        if current in memo:
-            stack.pop()
-            continue
-        pos = current.find("rl")
-        if pos < 0:
-            memo[current] = ({(current.count("r"), current.count("l")): 1}, 0)
-            stack.pop()
-            continue
-        swapped = current[:pos] + "lr" + current[pos + 2 :]
-        contracted = current[:pos] + current[pos + 2 :]
-        pending = [w for w in (swapped, contracted) if w not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        # Contracted paths first, as a depth-first walk would meet them.
-        counts, chain = memo[contracted]
-        counts = dict(counts)
-        for key, n in memo[swapped][0].items():
-            counts[key] = counts.get(key, 0) + n
-        memo[current] = (counts, 1 + max(chain, memo[swapped][1]))
-    counts, longest_chain = memo[text]
+    terms, longest_chain = _rewrite_words(((word, ONE),), left, right, correction, memo)
+    return dict(terms), longest_chain
+
+
+def _rewrite_words(
+    pairs: Iterable[tuple[Word, ExactScalar]],
+    left: Symbol,
+    right: Symbol,
+    correction: ExactScalar,
+    memo: dict[str, tuple[list[int], int]],
+) -> tuple[list[tuple[tuple[int, int], ExactScalar]], int]:
+    """:func:`_rewrite_word` over a linear combination of words, sharing
+    ``memo``: uncollected terms keyed (#right, #left), and the longest
+    chain.  Counts are summed by word coefficient, key and k, and each
+    group becomes coeff * (count * correction**k) once."""
+    # coefficient -> (key, k) -> count: one scalar hash per word.
+    groups: dict[ExactScalar, dict[tuple[tuple[int, int], int], int]] = {}
+    longest_chain = 0
+    for word, coeff in pairs:
+        for sym in word:
+            if sym is not left and sym is not right:
+                raise UnsupportedSymbolError(
+                    f"symbol {sym.value!r} not supported by this rewrite"
+                )
+        # One character per symbol: "l" for `left`, "r" for `right`.
+        text = "".join("l" if sym is left else "r" for sym in word)
+        counts, chain = _path_counts(text.lstrip("l").rstrip("r"), memo)
+        longest_chain = max(longest_chain, chain)
+        n_right = text.count("r")
+        n_left = len(text) - n_right
+        group = groups.setdefault(coeff, {})
+        for k, n in enumerate(counts):
+            key = ((n_right - k, n_left - k), k)
+            group[key] = group.get(key, 0) + n
     powers = [ONE]
-    out: dict[tuple[int, int], ExactScalar] = {}
-    for key, n in counts.items():
-        k = (len(text) - sum(key)) // 2
-        while len(powers) <= k:
-            powers.append(powers[-1] * correction)
-        out[key] = n * powers[k]  # an int scale: 4 products, not 16
-    return out, longest_chain
+    terms = []
+    for coeff, group in groups.items():
+        for (key, k), n in group.items():
+            while len(powers) <= k:
+                powers.append(powers[-1] * correction)
+            c = n * powers[k]  # an int scale: 4 products, not 16
+            terms.append((key, c if coeff == ONE else coeff * c))
+    return terms, longest_chain
+
+
+def _path_counts(
+    core: str, memo: dict[str, tuple[list[int], int]]
+) -> tuple[list[int], int]:
+    """(path counts by k, longest chain) of an "l"/"r" word without leading
+    "l"s or trailing "r"s: no rule reaches those, so the memo keys words
+    without them.  Walked with an explicit stack, not recursion: a word is
+    pushed again, as (word, swapped, contracted), under its two rewrites,
+    and combined once both are in the memo."""
+    memo.setdefault("", ([1], 0))
+    stack: list = [core]
+    while stack:
+        current = stack.pop()
+        if current.__class__ is tuple:
+            current, swapped, contracted = current
+            # A swap keeps k and a contraction adds one.  A swap never
+            # allows more contractions than the word itself, so
+            # len(s) <= len(t) + 1.
+            s, swapped_chain = memo[swapped]
+            t, contracted_chain = memo[contracted]
+            counts = [s[0], *map(operator.add, s[1:], t), *t[len(s) - 1 :]]
+            memo[current] = (counts, 1 + max(swapped_chain, contracted_chain))
+        elif current not in memo:
+            pos = current.find("rl")
+            swapped = (current[:pos] + "lr" + current[pos + 2 :]).lstrip("l").rstrip("r")
+            contracted = (current[:pos] + current[pos + 2 :]).lstrip("l").rstrip("r")
+            stack.append((current, swapped, contracted))
+            stack.extend(w for w in (swapped, contracted) if w not in memo)
+    return memo[core]
 
 
 def _rewrite_expression(
@@ -451,14 +487,10 @@ def _rewrite_expression(
     else:
         left, right, correction = Symbol.Q, Symbol.P, MINUS_I
         key_of = lambda counts: (counts[1], counts[0])
-    terms: list[tuple[tuple[int, int], ExactScalar]] = []
-    longest_chain = 0
-    for word, coeff in e.expand().items():
-        word_terms, chain = _rewrite_word(word, left, right, correction)
-        longest_chain = max(longest_chain, chain)
-        for counts, c in word_terms.items():
-            terms.append((key_of(counts), c * coeff))
-    return OrderedPolynomial.from_terms(target, terms), longest_chain
+    # One memo per call: nothing outlives it.
+    terms, longest_chain = _rewrite_words(e.expand().items(), left, right, correction, {})
+    poly = OrderedPolynomial.from_terms(target, ((key_of(key), c) for key, c in terms))
+    return poly, longest_chain
 
 
 def rewrite_to_pq(e: FreeExpression) -> OrderedPolynomial:
@@ -473,22 +505,11 @@ def rewrite_to_qp(e: FreeExpression) -> OrderedPolynomial:
 
 # Ladder terms are keyed (j, k) = (a+)^j a^k, and a a+ = a+ a + 1.
 _LADDER_LEAVES = {Symbol.ADAG: {(1, 0): ONE}, Symbol.A: {(0, 1): ONE}}
-_INV_SQRT2 = SQRT2.invert()
-# Q = (a + a+)/sqrt2,  P = (a - a+)/(sqrt2 i)
-_LADDER_IMAGE = {
-    Symbol.Q: {(0, 1): _INV_SQRT2, (1, 0): _INV_SQRT2},
-    Symbol.P: {(0, 1): MINUS_I * _INV_SQRT2, (1, 0): I * _INV_SQRT2},
-}
 
 
 def normal_order(e: FreeExpression) -> LadderPolynomial:
     """Normal-order an expression over {a, a+, scalars}."""
     return LadderPolynomial(LadderOrdering.NORMAL, _evaluate(e, _LADDER_LEAVES, ONE))
-
-
-def substitute_ladder(e: FreeExpression) -> LadderPolynomial:
-    """Rewrite a {Q, P} expression in normal-ordered ladder form."""
-    return LadderPolynomial(LadderOrdering.NORMAL, _evaluate(e, _LADDER_IMAGE, ONE))
 
 
 def commutator(x: FreeExpression, y: FreeExpression) -> OrderedPolynomial:

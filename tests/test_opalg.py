@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from weylkit.exactnum import ZERO, ExactScalar, I, MINUS_I, ONE, SQRT2
 from weylkit.opalg import (
     A,
     ADAG,
+    LadderOrdering,
+    LadderPolynomial,
     Monomial,
     OrderedPolynomial,
     Ordering,
@@ -21,19 +24,30 @@ from weylkit.opalg import (
     UnsupportedSymbolError,
     _evaluate,
     _product,
+    _rewrite_expression,
     _rewrite_word,
+    collect,
     commutator,
     normal_order,
     poly_equal,
     rewrite_to_pq,
     rewrite_to_qp,
     scalar,
-    substitute_ladder,
     to_expression,
 )
 from weylkit.ordering import qp_to_pq
 
 INV_SQRT2 = SQRT2.invert()
+# Q = (a + a+)/sqrt2,  P = (a - a+)/(sqrt2 i)
+LADDER_IMAGE = {
+    Symbol.Q: {(0, 1): INV_SQRT2, (1, 0): INV_SQRT2},
+    Symbol.P: {(0, 1): MINUS_I * INV_SQRT2, (1, 0): I * INV_SQRT2},
+}
+
+
+def substitute_ladder(e):
+    """A {Q, P} expression in normal-ordered ladder form, by the product."""
+    return LadderPolynomial(LadderOrdering.NORMAL, _evaluate(e, LADDER_IMAGE, ONE))
 
 
 def terms(poly):
@@ -139,7 +153,7 @@ def test_termination_bound():
     # Every chain of rule applications removes inversions one at a time,
     # so no chain is longer than L^2.
     for word in all_words(8):
-        _, longest_chain = _rewrite_word(word, Symbol.P, Symbol.Q, I)
+        _, longest_chain = _rewrite_word(word, Symbol.P, Symbol.Q, I, {})
         assert longest_chain <= max(1, len(word)) ** 2
 
 
@@ -184,10 +198,78 @@ def _reference_rewrite_word(word, left, right, correction):
 )
 def test_rewrite_word_matches_rule_at_a_time_reference(left, right, correction):
     for word in all_words(8, alphabet=(left, right)):
-        got, got_chain = _rewrite_word(word, left, right, correction)
+        got, got_chain = _rewrite_word(word, left, right, correction, {})
         want, want_chain = _reference_rewrite_word(word, left, right, correction)
         assert got == want, word
         assert got_chain == want_chain, word
+
+
+_TARGETS = {
+    Ordering.PQ: (Symbol.P, Symbol.Q, I),
+    Ordering.QP: (Symbol.Q, Symbol.P, MINUS_I),
+}
+_C1 = ExactScalar(Fraction(3, 2), Fraction(-1, 3))
+_C2 = ExactScalar(Fraction(-5, 7), 2)
+
+
+@pytest.mark.parametrize("target", list(_TARGETS), ids=lambda t: t.value)
+@pytest.mark.parametrize(
+    "expr",
+    [
+        # Mixed lengths that reach the same keys after different k.
+        Q * P + Q**2 * P**2,
+        Q * P * Q * P + P * Q + Q**3 * P**3,
+        # Equal and unequal Gaussian-rational coefficients.
+        scalar(_C1) * Q * P + scalar(_C1) * Q**2 * P**2 + scalar(_C1) * P * Q**2 * P,
+        scalar(_C1) * Q * P + scalar(_C2) * P * Q + scalar(_C2) * Q**2 * P**2,
+        scalar(_C2) * Q * P * Q + scalar(_C1) * P * Q * Q + scalar(_C1) * Q * Q * P,
+        # Sums that cancel: [Q, P] - i and a multiple of [Q^2, P] - 2iQ.
+        Q * P - P * Q - scalar(I),
+        scalar(_C1) * (Q**2 * P - P * Q**2) - scalar(2 * I * _C1) * Q,
+        (P + Q) ** 5,
+    ],
+    ids=["mixed", "mixed3", "equal", "unequal", "unequal3", "cancel", "cancel2", "p_plus_q"],
+)
+def test_one_memo_for_all_words_matches_rewriting_each_word(expr, target):
+    # One call shares its memo across the words and sums integer counts
+    # before any exact product; the result is the sum over the words of
+    # the rule-at-a-time reference, and the longest chain their maximum.
+    left, right, correction = _TARGETS[target]
+    swap = target is Ordering.QP
+    want_pairs, want_chain = [], 0
+    for word, coeff in expr.expand().items():
+        word_terms, chain = _reference_rewrite_word(word, left, right, correction)
+        want_chain = max(want_chain, chain)
+        want_pairs += [(key[::-1] if swap else key, coeff * c) for key, c in word_terms.items()]
+    want = collect(want_pairs)
+    for _ in range(2):  # the same expression twice in a row
+        got, got_chain = _rewrite_expression(expr, target)
+        assert got.ordering is target
+        assert terms(got) == want
+        assert got_chain == want_chain
+
+
+def test_each_rewriting_call_walks_with_a_fresh_memo(monkeypatch):
+    # Nothing outlives a call: a second identical call repeats the walk.
+    seen = []
+    path_counts = opalg._path_counts
+
+    def spy(core, memo):
+        seen.append((id(memo), len(memo)))
+        return path_counts(core, memo)
+
+    monkeypatch.setattr(opalg, "_path_counts", spy)
+    expr = (P + Q) ** 4
+    first = rewrite_to_pq(expr)
+    calls = len(seen)
+    second = rewrite_to_pq(expr)
+    assert first == second
+    assert len(seen) == 2 * calls == 2 * len(expr.expand())
+    # Within a call every word shares one growing memo; the next call
+    # starts from an empty one.
+    assert len({memo for memo, _ in seen[:calls]}) == 1
+    assert seen[calls - 1][1] > 0
+    assert seen[0][1] == seen[calls][1] == 0
 
 
 coefficients = st.builds(
@@ -229,7 +311,7 @@ def _word_node(word):
 
 def test_normal_order_matches_rewriting_on_every_word():
     for word in all_words(8, alphabet=(Symbol.A, Symbol.ADAG)):
-        want, _ = _rewrite_word(word, Symbol.ADAG, Symbol.A, ONE)
+        want, _ = _rewrite_word(word, Symbol.ADAG, Symbol.A, ONE, {})
         # _rewrite_word keys (#a, #a+); ladder terms are keyed (#a+, #a).
         want = {(n_adag, n_a): c for (n_a, n_adag), c in want.items()}
         assert normal_order(_word_node(word)).terms == want, word
