@@ -37,7 +37,6 @@ from .opalg import (
     rewrite_to_qp,
 )
 from .ordering import (
-    CommutativePoly2,
     commutator_closed_form,
     convert,
     derivative_representation,
@@ -77,7 +76,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "CommutativePoly2",
     "ExactScalar",
     "FockMatrix",
     "FreeExpression",

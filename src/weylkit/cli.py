@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 
@@ -38,11 +39,12 @@ MAX_DIM_GUARD = 128
 # by more than 1e-6.  Every check passes from 14 up.
 MIN_DIM_GUARD = 14
 # Bounds on a bare expression before the rewriting oracle expands it.
-# Rewriting one word of n symbols costs about 4e-7 * n**3 s (2-core
-# x86-64, Python 3.11) for n = 8..160, growing faster above that:
-# Q^64*P^64 takes 1.4 s and Q^80*P^80 3.0 s.  So the estimate
-# words * longest**3 is capped at 2**22 (about 2 s), and the longest
-# word at 128 symbols.
+# Rewriting one word of n symbols costs at most about 4e-7 * n**3 s
+# (in-process, 2-core x86-64, Python 3.11) for n = 8..160: Q^64*P^64
+# takes 0.75 s and Q^80*P^80 1.6 s.  Words that share intermediate
+# words cost far less together: the 2048 words of (P+Q)^11 take 0.018 s.
+# So the estimate words * longest**3 is capped at 2**22 (at most about
+# 2 s), and the longest word at 128 symbols.
 MAX_WORD_SYMBOLS = 128
 MAX_EXPANSION_WORK = 2**22
 
@@ -194,20 +196,24 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_degree is not None and args.max_degree > MAX_DEGREE_GUARD:
-        return _print_error(
-            f"--max-degree is capped at {MAX_DEGREE_GUARD}", args.json
-        )
-    if args.dim > MAX_DIM_GUARD:
-        return _print_error(f"--dim is capped at {MAX_DIM_GUARD}", args.json)
-    if args.max_degree is not None and args.max_degree < 0:
-        return _print_error("--max-degree must be non-negative", args.json)
-    if args.dim < MIN_DIM_GUARD:
-        return _print_error(
-            f"--dim must be at least {MIN_DIM_GUARD}: the wigner checks' "
-            "blocks and |beta| <= 1 coherent states need that many Fock levels",
-            args.json,
-        )
+    # Only the options the suite takes are checked: run_suite drops the rest.
+    takes = inspect.signature(verify.SUITES[args.suite]).parameters
+    if "max_degree" in takes and args.max_degree is not None:
+        if args.max_degree > MAX_DEGREE_GUARD:
+            return _print_error(
+                f"--max-degree is capped at {MAX_DEGREE_GUARD}", args.json
+            )
+        if args.max_degree < 0:
+            return _print_error("--max-degree must be non-negative", args.json)
+    if "dim" in takes:
+        if args.dim > MAX_DIM_GUARD:
+            return _print_error(f"--dim is capped at {MAX_DIM_GUARD}", args.json)
+        if args.dim < MIN_DIM_GUARD:
+            return _print_error(
+                f"--dim must be at least {MIN_DIM_GUARD}: the wigner checks' "
+                "blocks and |beta| <= 1 coherent states need that many Fock levels",
+                args.json,
+            )
     checks = verify.run_suite(args.suite, args.max_degree, args.dim)
     failed = [c for c in checks if not c.passed]
     status = "ok" if not failed else "mismatch"
@@ -281,21 +287,24 @@ def cmd_transform(args) -> int:
         "the transform overflows on this input: its cells are too large "
         "for double precision"
     )
+    result = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.out is not None or not args.parseval:
+            transform = phasexform.inverse_transform if args.inverse else phasexform.forward_transform
+            result = transform(field)
+        if args.parseval:
+            # The norm identity takes the forward transform, so a forward
+            # result made for --out serves it too.
+            reuse = result is not None and not args.inverse
+            forward = result if reuse else phasexform.forward_transform(field)
+            lhs, rhs = phasexform._parseval_sides(field, forward)
     if args.parseval:
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs, rhs = phasexform.parseval_check(field)
         if not (np.isfinite(lhs) and np.isfinite(rhs)):
             return _print_error(overflow, as_json)
         payload["parseval"] = {"lhs": lhs, "rhs": rhs}
         lines.append(f"{lhs:.10f}")
         lines.append(f"{rhs:.10f}")
-    if args.out is not None or not args.parseval:
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = (
-                phasexform.inverse_transform(field)
-                if args.inverse
-                else phasexform.forward_transform(field)
-            )
+    if result is not None:
         if not np.isfinite(result.values).all():
             return _print_error(overflow, as_json)
         payload["reliable"] = result.reliable

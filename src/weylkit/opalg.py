@@ -6,8 +6,7 @@ keyed (a, b) = left^a right^b; it moves right^b1 past left^a2 under
 right*left = left*right + f by the reordering family that
 :mod:`weylkit.ordering` converts with, :func:`_conversion_terms`, which
 lives here.  :func:`_evaluate` folds it over a parse tree: f = 0 for
-block bodies and :class:`weylkit.ordering.CommutativePoly2`, f = 1 over
-(a+, a) for :func:`normal_order`.
+block bodies, f = 1 over (a+, a) for :func:`normal_order`.
 
 The rewriting oracle (:func:`rewrite_to_pq`, :func:`rewrite_to_qp`,
 :func:`commutator`) uses none of it: it expands into words over the

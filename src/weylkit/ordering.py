@@ -8,9 +8,8 @@ All six monomial conversion maps are literally one generator,
 with the factor f read by source and target tag from ``_FACTORS``:
 +-i/2 to or from Weyl form, +-i between the two word orders.  The
 generator lives in :mod:`weylkit.opalg` beside :func:`weylkit.opalg._product`,
-the package's one polynomial product, which reorders by the same family;
-:class:`CommutativePoly2` multiplies through it with f = 0.  The
-closed-form commutators, :func:`convert` and the (P+Q)^n expansions
+the package's one polynomial product, which reorders by the same family.
+The closed-form commutators, :func:`convert` and the (P+Q)^n expansions
 are sums over the same generator, each accumulated by one
 :func:`weylkit.opalg.collect`.
 
@@ -20,7 +19,9 @@ two-variable Hermite polynomials with scaled arguments give the Weyl
 images of words (:func:`_weyl_image_via_hermite`, over Q(i, sqrt2), so
 :func:`hermite_two_var` keeps its own factorial formula), and repeated
 differentiation of e^{-2ist} gives :func:`weyl_to_pq`
-(:func:`derivative_representation`).  Everything here is a pure
+(:func:`derivative_representation`).  Both return
+:class:`weylkit.opalg.OrderedPolynomial` values, tagged Weyl and P-Q,
+and neither calls the generator or the product.  Everything here is a pure
 function over exact scalars, so conversions can be cross-checked
 bit-for-bit against the brute-force rewriting oracle in
 :mod:`weylkit.opalg`, which shares none of this code.
@@ -29,11 +30,9 @@ bit-for-bit against the brute-force rewriting oracle in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, Mapping
+from itertools import chain, islice
 
-from .exactnum import ExactScalar, I, I_HALF, MINUS_I, ONE, SQRT2, ZERO
+from .exactnum import ExactScalar, I, I_HALF, MINUS_I, ONE, SQRT2
 from .opalg import (
     FreeExpression,
     OrderedPolynomial,
@@ -44,7 +43,6 @@ from .opalg import (
     ScalarNode,
     SumNode,
     _conversion_terms,
-    _product,
     collect,
 )
 
@@ -52,64 +50,9 @@ MINUS_I_HALF = -I_HALF
 MINUS_2I = MINUS_I * ExactScalar.from_int(2)
 
 
-@dataclass(frozen=True)
-class CommutativePoly2:
-    """Commutative polynomial in two variables with exact coefficients."""
-
-    terms: Mapping[tuple[int, int], ExactScalar] = field(default_factory=dict)
-
-    @classmethod
-    def from_terms(
-        cls, terms: Iterable[tuple[tuple[int, int], ExactScalar]]
-    ) -> CommutativePoly2:
-        return cls(collect(terms))
-
-    @classmethod
-    def zero(cls) -> CommutativePoly2:
-        return cls({})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff: ExactScalar = ONE) -> CommutativePoly2:
-        return cls.from_terms([((i, j), coeff)])
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: CommutativePoly2) -> CommutativePoly2:
-        return CommutativePoly2.from_terms(
-            list(self.terms.items()) + list(other.terms.items())
-        )
-
-    def __mul__(self, other: CommutativePoly2) -> CommutativePoly2:
-        return CommutativePoly2(_product(self.terms, other.terms, ZERO))
-
-    def scale(self, factor: ExactScalar) -> CommutativePoly2:
-        if factor.is_zero():
-            return CommutativePoly2.zero()
-        return CommutativePoly2(
-            {key: coeff * factor for key, coeff in self.terms.items()}
-        )
-
-    def scale_vars(self, cx: ExactScalar, cy: ExactScalar) -> CommutativePoly2:
-        """Substitute x -> cx*x, y -> cy*y."""
-        return CommutativePoly2.from_terms(
-            ((i, j), coeff * cx**i * cy**j)
-            for (i, j), coeff in self.terms.items()
-        )
-
-    def derivative(self, var: int) -> CommutativePoly2:
-        """Partial derivative with respect to variable 0 (x) or 1 (y)."""
-        out: list[tuple[tuple[int, int], ExactScalar]] = []
-        for (i, j), coeff in self.terms.items():
-            if var == 0 and i > 0:
-                out.append(((i - 1, j), coeff * ExactScalar.from_int(i)))
-            elif var == 1 and j > 0:
-                out.append(((i, j - 1), coeff * ExactScalar.from_int(j)))
-        return CommutativePoly2.from_terms(out)
-
-
-def hermite_two_var(m: int, r: int) -> CommutativePoly2:
-    """Two-variable Hermite polynomial H[m,r](t, s) with exact coefficients.
+def hermite_two_var(m: int, r: int) -> OrderedPolynomial:
+    """Two-variable Hermite polynomial H[m,r](t, s) with exact coefficients,
+    read as a Weyl symbol (t -> Q, s -> P).
 
     H[m,r](t, s) = sum_{l=0}^{min(m,r)} m! r! (-1)^l / (l!(m-l)!(r-l)!)
                    * t^(m-l) s^(r-l)
@@ -119,7 +62,7 @@ def hermite_two_var(m: int, r: int) -> CommutativePoly2:
         num = math.factorial(m) * math.factorial(r) * (-1) ** l
         den = math.factorial(l) * math.factorial(m - l) * math.factorial(r - l)
         terms.append(((m - l, r - l), ExactScalar.rational(num, den)))
-    return CommutativePoly2.from_terms(terms)
+    return OrderedPolynomial.from_terms(Ordering.WEYL, terms)
 
 
 # Factor of the coefficient family for each (source, target) tag pair.
@@ -170,7 +113,7 @@ def pq_to_qp(m: int, r: int) -> OrderedPolynomial:
     return _monomial_image(Ordering.PQ, Ordering.QP, m, r)
 
 
-def _weyl_image_via_hermite(m: int, r: int, conjugated: bool) -> CommutativePoly2:
+def _weyl_image_via_hermite(m: int, r: int, conjugated: bool) -> OrderedPolynomial:
     """Literal Hermite-form route to the Weyl symbol of Q^m P^r / P^r Q^m.
 
     Expands (1/sqrt2)^(m+r) (-i)^r H[m,r](sqrt2 x, i sqrt2 y) exactly
@@ -179,30 +122,38 @@ def _weyl_image_via_hermite(m: int, r: int, conjugated: bool) -> CommutativePoly
     """
     sign_i = MINUS_I if not conjugated else I
     prefactor = SQRT2.invert() ** (m + r) * sign_i**r
-    scaled = hermite_two_var(m, r).scale_vars(
-        SQRT2, (I if not conjugated else MINUS_I) * SQRT2
+    cy = -sign_i * SQRT2
+    scaled = (
+        (key, coeff * SQRT2**key.m * cy**key.r)
+        for key, coeff in hermite_two_var(m, r).terms.items()
     )
-    return scaled.scale(prefactor)
+    return OrderedPolynomial.from_terms(Ordering.WEYL, scaled).scale(prefactor)
 
 
-def derivative_representation(m: int, r: int) -> CommutativePoly2:
+def derivative_representation(m: int, r: int) -> OrderedPolynomial:
     """Coefficients of :func:`weyl_to_pq` (m, r) via repeated
     differentiation of e^{-2ist}.
 
     Computes e^{2ist} (d/dt)^r (d/ds)^m e^{-2ist} on the polynomial
     prefactor and divides by (-2i)^(m+r): each derivative of the
     exponential word pulls down a factor -2i times the dual variable, so
-    the raw result overshoots by exactly that power.
+    the raw result overshoots by exactly that power.  Each step only
+    shifts keys, so the route needs no polynomial product.
     """
-    # u(t, s) tracks the prefactor of e^{-2ist}; vars are (t, s) = (0, 1).
-    u = CommutativePoly2.monomial(0, 0)
-    t_factor = CommutativePoly2.monomial(1, 0, MINUS_2I)
-    s_factor = CommutativePoly2.monomial(0, 1, MINUS_2I)
+    # u(t, s) is the prefactor of e^{-2ist}, keyed (power of t, power of s):
+    # d/ds maps it to du/ds - 2i t u, and d/dt to du/dt - 2i s u.
+    u = {(0, 0): ONE}
     for _ in range(m):
-        u = u.derivative(1) + u * t_factor
+        u = collect(chain(
+            (((i, j - 1), c * ExactScalar.from_int(j)) for (i, j), c in u.items() if j),
+            (((i + 1, j), c * MINUS_2I) for (i, j), c in u.items()),
+        ))
     for _ in range(r):
-        u = u.derivative(0) + u * s_factor
-    return u.scale(I_HALF ** (m + r))
+        u = collect(chain(
+            (((i - 1, j), c * ExactScalar.from_int(i)) for (i, j), c in u.items() if i),
+            (((i, j + 1), c * MINUS_2I) for (i, j), c in u.items()),
+        ))
+    return OrderedPolynomial.from_terms(Ordering.PQ, u.items()).scale(I_HALF ** (m + r))
 
 
 def commutator_closed_form(m: int, r: int, variant: Ordering) -> OrderedPolynomial:

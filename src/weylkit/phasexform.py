@@ -382,7 +382,11 @@ def inverse_transform(g: SampledField) -> SampledField:
 
 def parseval_check(h: SampledField) -> tuple[float, float]:
     """Both sides of the norm identity: (lhs, rhs) quadrature values."""
-    g = forward_transform(h)
+    return _parseval_sides(h, forward_transform(h))
+
+
+def _parseval_sides(h: SampledField, g: SampledField) -> tuple[float, float]:
+    """The norm identity's quadratures of h and of its forward transform g."""
     weight = h.dq * h.dp / np.pi
     lhs = float((np.abs(h.values) ** 2).sum() * weight)
     rhs = float((np.abs(g.values) ** 2).sum() * (g.dq * g.dp / np.pi))

@@ -88,28 +88,14 @@ def _numeric(name: str, error: float, tolerance: float, detail: str = "") -> Che
 
 def _sweep(name: str, cases, pairs) -> CheckResult:
     """Exact check over ``cases``: ``pairs(*case)`` yields (computed,
-    oracle) pairs, and the first case where a pair's terms differ fails
-    the check.  Both sides are rendered; a commutative polynomial takes
-    the ordering tag of the ordered side it is compared with."""
+    oracle) pairs, and the first case where a pair's tags or terms differ
+    fails the check, as :func:`_exact` renders it."""
     for case in cases:
         for got, want in pairs(*case):
-            if got.terms != want.terms:
-                tag = (got if isinstance(got, OrderedPolynomial) else want).ordering
-                computed, oracle = (
-                    exprio.render(
-                        x if isinstance(x, OrderedPolynomial)
-                        else OrderedPolynomial.from_terms(tag, x.terms.items())
-                    )
-                    for x in (got, want)
-                )
-                return CheckResult(
-                    name,
-                    False,
-                    math.inf,
-                    detail=f"first failure at {case if len(case) > 1 else case[0]}",
-                    computed=computed,
-                    oracle=oracle,
-                )
+            check = _exact(name, got, want)
+            if not check.passed:
+                where = case if len(case) > 1 else case[0]
+                return replace(check, detail=f"first failure at {where}")
     return CheckResult(name, True)
 
 
@@ -227,15 +213,19 @@ def suite_hermite(max_degree: int = 8) -> list[CheckResult]:
     top = max_degree
     hermite_top = min(top, 6)
     return [
-        CheckResult(
+        _exact(
             "H[1,1](t,s) = ts - 1",
-            conv.hermite_two_var(1, 1).terms
-            == {(1, 1): ONE, (0, 0): ExactScalar.from_int(-1)},
+            conv.hermite_two_var(1, 1),
+            OrderedPolynomial.from_terms(
+                Ordering.WEYL, [((1, 1), ONE), ((0, 0), ExactScalar.from_int(-1))]
+            ),
         ),
-        CheckResult(
+        _exact(
             "H[2,1](t,s) = t^2 s - 2t",
-            conv.hermite_two_var(2, 1).terms
-            == {(2, 1): ONE, (1, 0): ExactScalar.from_int(-2)},
+            conv.hermite_two_var(2, 1),
+            OrderedPolynomial.from_terms(
+                Ordering.WEYL, [((2, 1), ONE), ((1, 0), ExactScalar.from_int(-2))]
+            ),
         ),
         _sweep(
             f"derivative representation equals Weyl to P-Q coefficients, m,r <= {top}",

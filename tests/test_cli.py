@@ -366,8 +366,28 @@ def test_verify_json_failure_is_strict_json(capsys, schema, monkeypatch):
 def test_verify_resource_guards(capsys):
     code, _, err = run(capsys, "verify", "orderings", "--max-degree", "9")
     assert code == 2
+    code, _, err = run(capsys, "verify", "commutators", "--max-degree", "9")
+    assert code == 2
+    code, _, err = run(capsys, "verify", "hermite", "--max-degree", "-1")
+    assert code == 2 and "--max-degree must be non-negative" in err
     code, _, err = run(capsys, "verify", "wigner", "--dim", "256")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orderings", "--dim", "5"],
+        ["orderings", "--dim", "500"],
+        ["transform", "--max-degree", "9"],
+    ],
+    ids=" ".join,
+)
+def test_verify_ignores_the_options_a_suite_does_not_take(capsys, argv):
+    # The suite never sees these options, so their ranges are not checked.
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 0, err
+    assert "FAIL" not in out
 
 
 @pytest.mark.parametrize("dim", ["2", "7", "11"])
@@ -384,6 +404,32 @@ def test_transform_parseval_golden(capsys):
     assert code == 0
     lhs, rhs = (float(x) for x in out.split())
     assert abs(lhs - 0.5) < 1e-5 and abs(rhs - 0.5) < 1e-5
+
+
+def test_transform_parseval_with_out_transforms_once(capsys, tmp_path, monkeypatch):
+    field = phasexform.SampledField.from_function(
+        lambda qg, pg: np.exp(-(pg**2) - qg**2)
+    )
+    want = phasexform.parseval_check(field)
+    reference = tmp_path / "reference.csv"
+    phasexform.forward_transform(field).to_csv(reference)
+    calls = []
+    chirp = phasexform._chirp_transform
+
+    def counted(h, sign):
+        calls.append(sign)
+        return chirp(h, sign)
+
+    monkeypatch.setattr(phasexform, "_chirp_transform", counted)
+    path = tmp_path / "g.csv"
+    code, out, _ = run(
+        capsys, "transform", "--gaussian", "--parseval", "--out", str(path), "--json"
+    )
+    assert code == 0
+    assert calls == [1.0]
+    parseval = json.loads(out)["payload"]["parseval"]
+    assert (parseval["lhs"], parseval["rhs"]) == want
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_transform_round_trip_via_files(capsys, tmp_path):

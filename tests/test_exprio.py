@@ -30,9 +30,9 @@ from weylkit.opalg import (
     ProductNode,
     ScalarNode,
     SumNode,
+    collect,
     rewrite_to_pq,
 )
-from weylkit.ordering import CommutativePoly2
 
 
 def test_parse_commutator_expression():
@@ -479,13 +479,17 @@ _REFERENCE_SCALARS = {
 }
 
 
-def _reference_product(x: CommutativePoly2, y: CommutativePoly2) -> CommutativePoly2:
+def _reference_product(x: dict, y: dict) -> dict:
     """Commutative product by its own loop, x's terms outer, y's inner."""
-    return CommutativePoly2.from_terms(
+    return collect(
         ((i1 + i2, j1 + j2), c1 * c2)
-        for (i1, j1), c1 in x.terms.items()
-        for (i2, j2), c2 in y.terms.items()
+        for (i1, j1), c1 in x.items()
+        for (i2, j2), c2 in y.items()
     )
+
+
+def _reference_negate(x: dict) -> dict:
+    return {key: coeff * _MINUS_ONE for key, coeff in x.items()}
 
 
 _ReferenceToken = namedtuple("_ReferenceToken", "kind text start end")
@@ -493,8 +497,9 @@ _ReferenceToken = namedtuple("_ReferenceToken", "kind text start end")
 
 class _ReferenceBlock:
     """The block grammar as its own recursive descent, building the
-    commutative value while it parses, to check the parser's fold of
-    the block's free parse tree.  Valid bodies only."""
+    commutative value, a dict of terms keyed (m, r), while it parses, to
+    check the parser's fold of the block's free parse tree.  Valid
+    bodies only."""
 
     def __init__(self, body: str):
         self.tokens = [_ReferenceToken(*token) for token in _reference_tokenize(body)]
@@ -507,58 +512,58 @@ class _ReferenceBlock:
         self.pos += 1
         return self.tokens[self.pos - 1]
 
-    def expr(self) -> CommutativePoly2:
+    def expr(self) -> dict:
         terms = []
         negate = self.peek() == "minus"
         if negate:
             self.advance()
         while True:
             term = self.term()
-            terms.extend((term.scale(_MINUS_ONE) if negate else term).terms.items())
+            terms.extend((_reference_negate(term) if negate else term).items())
             if self.peek() not in ("plus", "minus"):
-                return CommutativePoly2.from_terms(terms)
+                return collect(terms)
             negate = self.advance().kind == "minus"
 
-    def term(self) -> CommutativePoly2:
+    def term(self) -> dict:
         total = self.unary()
         while self.peek() == "star":
             self.advance()
             total = _reference_product(total, self.unary())
         return total
 
-    def unary(self) -> CommutativePoly2:
+    def unary(self) -> dict:
         if self.peek() == "minus":
             self.advance()
-            return self.unary().scale(_MINUS_ONE)
+            return _reference_negate(self.unary())
         return self.factor()
 
-    def factor(self) -> CommutativePoly2:
+    def factor(self) -> dict:
         base = self.primary()
         if self.peek() == "caret":
             self.advance()
-            out = CommutativePoly2.monomial(0, 0)
+            out = {(0, 0): ONE}
             for index in range(int(self.advance().text)):
                 out = _reference_product(out, base) if index else base
             return out
         return base
 
-    def primary(self) -> CommutativePoly2:
+    def primary(self) -> dict:
         token = self.advance()
         if token.kind == "lparen":
             inner = self.expr()
             assert self.advance().kind == "rparen"
             return inner
         if token.kind == "symbol":
-            return CommutativePoly2.monomial(*{"Q": (1, 0), "P": (0, 1)}[token.text])
-        return CommutativePoly2.monomial(0, 0, _REFERENCE_SCALARS[token.kind](token.text))
+            return {{"Q": (1, 0), "P": (0, 1)}[token.text]: ONE}
+        return collect([((0, 0), _REFERENCE_SCALARS[token.kind](token.text))])
 
 
 def _reference_block(body: str) -> list:
     """The block body's terms, in dict order, by the reference grammar."""
     parser = _ReferenceBlock(body)
-    poly = parser.expr()
+    terms = parser.expr()
     assert parser.peek() == "eof"
-    return list(poly.terms.items())
+    return list(terms.items())
 
 
 def _block_nodes(children):

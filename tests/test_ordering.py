@@ -14,7 +14,7 @@ from weylkit.opalg import (
     rewrite_to_qp,
     to_expression,
 )
-from weylkit import exprio, ordering as conv, verify
+from weylkit import exprio, opalg, ordering as conv, verify
 
 TWO = ExactScalar.from_int(2)
 I_HALF = I * ExactScalar.rational(1, 2)
@@ -25,6 +25,7 @@ def terms(poly):
 
 
 def test_hermite_two_var_examples():
+    assert conv.hermite_two_var(2, 1).ordering is Ordering.WEYL
     assert terms_c(conv.hermite_two_var(0, 0)) == {(0, 0): ONE}
     assert terms_c(conv.hermite_two_var(1, 1)) == {
         (1, 1): ONE,
@@ -176,15 +177,55 @@ def test_hermite_suite_sees_a_wrong_weyl_to_pq_factor(monkeypatch):
     assert [c.name for c in failed] == [
         "derivative representation equals Weyl to P-Q coefficients, m,r <= 8"
     ]
-    # The commutative derivative route is rendered with the P-Q tag.
+    # The derivative route carries its own P-Q tag.
     (check,) = failed
     assert check.detail == "first failure at (1, 1)"
-    route = conv.derivative_representation(1, 1).terms.items()
-    assert check.computed == exprio.render(
-        OrderedPolynomial.from_terms(Ordering.PQ, route)
-    )
+    assert check.computed == exprio.render(conv.derivative_representation(1, 1))
     assert check.oracle == exprio.render(conv.weyl_to_pq(1, 1))
     assert check.computed != check.oracle
+
+
+def test_sweep_compares_tags_as_well_as_terms():
+    check = verify._sweep(
+        "same terms, different tags",
+        [(1, 1)],
+        lambda m, r: [
+            (
+                OrderedPolynomial.monomial(Ordering.PQ, m, r),
+                OrderedPolynomial.monomial(Ordering.QP, m, r),
+            )
+        ],
+    )
+    assert not check.passed
+    assert check.detail == "first failure at (1, 1)"
+    assert check.computed == exprio.render(OrderedPolynomial.monomial(Ordering.PQ, 1, 1))
+    assert check.oracle == exprio.render(OrderedPolynomial.monomial(Ordering.QP, 1, 1))
+
+
+def test_second_routes_run_neither_the_generator_nor_the_product(monkeypatch):
+    # The routes check _conversion_terms and _product, so they must not
+    # run them: every binding of both names raises while they run.
+    closed = {
+        (m, r): (conv.qp_to_weyl(m, r), conv.pq_to_weyl(m, r), conv.weyl_to_pq(m, r))
+        for m in range(5)
+        for r in range(5)
+    }
+
+    def refuse(*args):
+        raise AssertionError("a second route ran the code it checks")
+
+    for module in (opalg, conv):
+        for name in ("_product", "_conversion_terms"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    routes = {
+        (m, r): (
+            conv._weyl_image_via_hermite(m, r, False),
+            conv._weyl_image_via_hermite(m, r, True),
+            conv.derivative_representation(m, r),
+        )
+        for m, r in closed
+    }
+    assert routes == closed
 
 
 def test_round_trip_all_tag_pairs():

@@ -49,8 +49,13 @@ def _run(argv, cpu_limit_s, tmp_path):
     return json.loads(launched.stdout), err.read_text()
 
 
+def _row_id(row):
+    # Long arguments (a 5000-digit literal) are named by their length.
+    return " ".join(a if len(a) <= 40 else f"{a[:8]}...({len(a)} chars)" for a in row["argv"])
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-@pytest.mark.parametrize("row", TABLE["rows"], ids=lambda row: " ".join(row["argv"]))
+@pytest.mark.parametrize("row", TABLE["rows"], ids=_row_id)
 def test_worst_case_row_meets_its_budget(row, tmp_path):
     got, stderr = _run(row["argv"], math.ceil(row["cpu_budget_s"]) + 1, tmp_path)
     assert got["exit"] == row["exit"], stderr[-500:]
