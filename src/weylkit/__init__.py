@@ -13,11 +13,10 @@ the reproducible check suites behind ``weylkit verify``.
 
 Only the exact layers load with the package.  The two numeric modules
 need numpy, so they and the names they export load on first access:
-``fockspace``, ``FockMatrix``, ``PhasePoint``, ``TruncationError``,
-``build_ladder``, ``build_qp``, ``coherent_state``, ``evaluate``,
-``marginal_check``, ``wigner_function`` and ``wigner_operator``;
-``phasexform``, ``SampledField``, ``forward_transform``,
-``inverse_transform`` and ``parseval_check``.
+``fockspace``, ``FockMatrix``, ``TruncationError``, ``build_ladder``,
+``build_qp``, ``coherent_state``, ``evaluate``, ``marginal_check`` and
+``wigner_function``; ``phasexform``, ``SampledField``,
+``forward_transform``, ``inverse_transform`` and ``parseval_check``.
 """
 
 import importlib
@@ -57,9 +56,8 @@ __version__ = "0.1.0"
 # access (PEP 562) so that the exact layers never load numpy.
 _LAZY = {
     "fockspace": (
-        "FockMatrix", "PhasePoint", "TruncationError", "build_ladder", "build_qp",
+        "FockMatrix", "TruncationError", "build_ladder", "build_qp",
         "coherent_state", "evaluate", "marginal_check", "wigner_function",
-        "wigner_operator",
     ),
     "phasexform": (
         "SampledField", "forward_transform", "inverse_transform", "parseval_check",
@@ -85,7 +83,6 @@ __all__ = [
     "OrderedPolynomial",
     "Ordering",
     "ParseError",
-    "PhasePoint",
     "SampledField",
     "TruncationError",
     "build_ladder",
@@ -116,5 +113,4 @@ __all__ = [
     "weyl_to_pq",
     "weyl_to_qp",
     "wigner_function",
-    "wigner_operator",
 ]

@@ -8,9 +8,11 @@ displacement stays well inside the basis, and boundary reflection
 corrupts the low matrix elements far outside that disc.  The kernel
 entries are therefore computed in closed form -- matrix elements of the
 full displacement operator, which carry the true Gaussian decay in
-(q, p) -- and then truncated.  Inside the documented trust region the
-two constructions agree to 1e-12, which the test suite pins against a
-scaling-and-squaring matrix exponential.
+(q, p) -- and then truncated.  The test suite takes the kernel at one
+point as ``_kernel_sums([q], [p], np.ones((1, 1)), dim)[0]`` and pins,
+at dim 64 and |alpha| <= 1, that its top-left 32 x 32 block agrees to
+1e-12 with (1/pi) D(alpha) Pi D(alpha)+ built from :func:`displacement`,
+which is itself pinned against a scaling-and-squaring matrix exponential.
 
 One kernel evaluator serves every phase-space sum.  With b = 2 alpha
 and x = |b|^2, the normalised entries
@@ -73,22 +75,6 @@ class FockMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[0]
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (q, p) of phase space; alpha = (q + ip)/sqrt2."""
-
-    q: float
-    p: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.q) and math.isfinite(self.p)):
-            raise ValueError("phase-space coordinates must be finite")
-
-    @property
-    def alpha(self) -> complex:
-        return complex(self.q, self.p) / SQRT2
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +219,6 @@ def _kernel_sums(qs, ps, weights, block: int) -> np.ndarray:
         for k, col in enumerate(_kernel_columns(qs[part], ps[part], block)):
             out[:, k:, k] += (col @ wt).T
     return _fill_upper(out)
-
-
-def wigner_operator(pt: PhasePoint, dim: int) -> FockMatrix:
-    """Phase-space kernel (displaced parity over pi) at one point.
-
-    The returned entries are those of the untruncated operator; within
-    the precondition disc they coincide (to 1e-12) with
-    (1/pi) D(alpha) Pi D(alpha)+ built from :func:`displacement`.
-    """
-    alpha = pt.alpha
-    mod2 = abs(alpha) ** 2
-    if mod2 > dim / 8.0:
-        raise TruncationError(
-            f"|alpha|^2 = {mod2:.3f} too large for dim {dim}; "
-            f"need |alpha|^2 <= dim/8"
-        )
-    data = _kernel_sums([pt.q], [pt.p], np.ones((1, 1)), dim)[0]
-    reliable = max(1, dim - math.ceil(8.0 * mod2))
-    return FockMatrix(data, reliable)
 
 
 def evaluate(poly: OrderedPolynomial, dim: int) -> FockMatrix:

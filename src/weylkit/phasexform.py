@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -259,40 +259,24 @@ def _run_blocks(rows: int, width: int, work) -> None:
 
     One worker per usable core, but no more than there are blocks: worker
     k takes every count-th block from the k-th, all in one complex buffer
-    made here, ``width`` wide and a block (or all rows) high.  Worker 0 is the
-    calling thread and the rest are threads joined before this returns.
-    An error in any worker stops the others at their next block and is
-    raised here once all of them have stopped.
+    made here before any worker starts, ``width`` wide and a block (or
+    all rows) high.  Worker 0 is the calling thread and the rest run on a
+    thread pool that is shut down before this returns.  An error in one
+    worker does not stop the others: each finishes its share, and then
+    the caller's error, or else the first pool worker's, is raised here.
     """
     count = min(_cores(), -(-rows // _CHIRP_ROWS))
     buffers = [np.empty((min(rows, _CHIRP_ROWS), width), complex) for _ in range(count)]
-    errors = []
 
     def run(k):
         for start in range(k * _CHIRP_ROWS, rows, count * _CHIRP_ROWS):
-            if errors:
-                return
             work(start, buffers[k])
 
-    def worker(k):
-        try:
-            run(k)
-        except BaseException as exc:  # raised again by the caller
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(1, count)]
-    for thread in threads:
-        thread.start()
-    try:
+    with ThreadPoolExecutor(max(1, count - 1)) as pool:
+        others = [pool.submit(run, k) for k in range(1, count)]
         run(0)
-    except BaseException as exc:
-        errors.append(exc)  # the other workers stop at their next block
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    for future in others:
+        future.result()
 
 
 def _chirp_transform(h: SampledField, sign: float) -> SampledField:

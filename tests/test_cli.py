@@ -654,6 +654,8 @@ def test_numeric_names_load_on_first_access(capsys):
     namespace = {}
     exec("from weylkit import *", namespace)
     assert set(weylkit.__all__) <= set(namespace)
+    # A name left in the lazy table after its definition is gone fails here.
+    assert {name for names in weylkit._LAZY.values() for name in names} <= set(weylkit.__all__)
     assert namespace["SampledField"] is phasexform.SampledField
     assert namespace["wigner_function"] is fockspace.wigner_function
     with pytest.raises(AttributeError, match="nope"):
