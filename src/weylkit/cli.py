@@ -132,13 +132,9 @@ def _emit_polynomial(poly: OrderedPolynomial, as_json: bool) -> int:
     # the symbolic Weyl tag keeps its wrapper.
     render = exprio.render if poly.ordering is Ordering.WEYL else exprio.render_terms
     try:
-        outcome = {
-            "status": "ok",
-            "payload": {
-                "result": exprio.polynomial_to_json(poly),
-                "text": render(poly),
-            },
-        }
+        # Text output prints only the rendering, so only JSON builds the rest.
+        result = exprio.polynomial_to_json(poly) if as_json else None
+        text = render(poly)
     except ValueError:
         # str() refuses ints longer than Python's int/str digit limit.
         return _print_error(
@@ -146,7 +142,7 @@ def _emit_polynomial(poly: OrderedPolynomial, as_json: bool) -> int:
             f"{exprio.max_int_digits()} digits",
             as_json,
         )
-    _emit(outcome, as_json, outcome["payload"]["text"])
+    _emit({"status": "ok", "payload": {"result": result, "text": text}}, as_json, text)
     return OK
 
 

@@ -14,10 +14,11 @@ All operations are pure and values are immutable, so they are safe to
 share between threads.
 
 The ring operations run on Python integers only: a product is 16 integer
-products over den1*den2, a sum brings both numerator sets to one common
-denominator, and each result is reduced by a single five-way gcd.  The
-rational components ra, ia, rb and ib (the dataclass fields, in the
-repr) are read-only ``Fraction`` views of the tuple, built on demand.
+products over den1*den2 (a unit operand returns the other one as is), a
+sum brings both numerator sets to one common denominator, and each result
+is reduced by a single five-way gcd.  The rational components ra, ia, rb
+and ib (the dataclass fields, in the repr) are read-only ``Fraction``
+views of the tuple, built on demand.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 _ZERO_TUPLE = (0, 0, 0, 0, 1)
+_ONE_TUPLE = (1, 0, 0, 0, 1)
 
 
 class ExactArithmeticError(ArithmeticError):
@@ -133,10 +135,16 @@ class ExactScalar:
 
     def __mul__(self, other: ExactScalar | int) -> ExactScalar:
         if other.__class__ is ExactScalar:
+            # A unit operand returns the other one: values are immutable.
+            x, y = self._t, other._t
+            if x == _ONE_TUPLE:
+                return other
+            if y == _ONE_TUPLE:
+                return self
             # ((a + b*i) + (c + d*i)*sqrt2) * ((e + f*i) + (g + h*i)*sqrt2)
             # over den1 * den2.
-            a, b, c, d, den1 = self._t
-            e, f, g, h, den2 = other._t
+            a, b, c, d, den1 = x
+            e, f, g, h, den2 = y
             return _reduced(
                 a * e - b * f + 2 * (c * g - d * h),
                 a * f + b * e + 2 * (c * h + d * g),

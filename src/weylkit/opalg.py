@@ -114,7 +114,7 @@ def _product(x: Mapping, y: Mapping, f: ExactScalar) -> dict:
             for (a2, b2), c2 in y.items():
                 c = c1 * c2
                 for (b, a), n in _conversion_terms(b1, a2, f):
-                    yield (a1 + a, b + b2), c if n is ONE else c * n
+                    yield (a1 + a, b + b2), c * n
 
     return collect(terms())
 
@@ -302,11 +302,17 @@ class ProductNode(FreeExpression):
         out: dict[Word, ExactScalar] = {(): ONE}
         for child in self.children:
             rhs = child.expand()
-            out = collect(
-                (w1 + w2, c1 * c2)
-                for w1, c1 in out.items()
-                for w2, c2 in rhs.items()
-            )
+            if len(rhs) == 1:
+                # Keys w1 + w2 stay distinct and products of nonzero
+                # coefficients are nonzero: the dict collect would build.
+                ((w2, c2),) = rhs.items()
+                out = {w1 + w2: c1 * c2 for w1, c1 in out.items()}
+            else:
+                out = collect(
+                    (w1 + w2, c1 * c2)
+                    for w1, c1 in out.items()
+                    for w2, c2 in rhs.items()
+                )
         return out
 
 
@@ -443,7 +449,7 @@ def _rewrite_words(
             while len(powers) <= k:
                 powers.append(powers[-1] * correction)
             c = n * powers[k]  # an int scale: 4 products, not 16
-            terms.append((key, c if coeff == ONE else coeff * c))
+            terms.append((key, coeff * c))
     return terms, longest_chain
 
 

@@ -304,6 +304,23 @@ def test_overlong_result_coefficients_exit_2(capsys, schema, source):
     assert "too long to print" in doc["payload"]["message"]
 
 
+def test_text_output_builds_no_json_form(capsys, schema, monkeypatch):
+    calls = []
+    real = exprio.polynomial_to_json
+
+    def spy(poly):
+        calls.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(exprio, "polynomial_to_json", spy)
+    code, out, _ = run(capsys, "convert", "Q*P", "--to", "pq")
+    assert code == 0 and out.strip() == "P*Q + i"
+    assert calls == []
+    code, doc = run_json(capsys, schema, "convert", "Q*P", "--to", "pq", "--format", "json")
+    assert code == 0 and doc["payload"]["text"] == "P*Q + i"
+    assert len(calls) == 1
+
+
 def test_verify_orderings_passes(capsys):
     code, out, _ = run(
         capsys, "verify", "orderings", "--max-degree", "3"

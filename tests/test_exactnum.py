@@ -207,6 +207,52 @@ def test_equal_values_hash_equal(x, y):
     assert hash(x * y) == hash(y * x) == hash(_reference_mul(x, y))
 
 
+# Units built four ways: the constant, both constructors and arithmetic.
+UNITS = (
+    ONE,
+    ExactScalar.from_int(1),
+    ExactScalar(1),
+    ExactScalar.rational(1, 2) + ExactScalar.rational(1, 2),
+)
+
+
+@pytest.mark.parametrize("unit", UNITS, ids=("ONE", "from_int", "init", "sum"))
+@given(any_scalars)
+@settings(max_examples=60)
+def test_a_unit_operand_returns_the_other_as_is(unit, x):
+    before = x.canonical
+    assert (x * unit).canonical == (unit * x).canonical == before
+    assert x.canonical == before
+    if before != ONE.canonical:  # of two units, the other one comes back
+        assert x * unit is x and unit * x is x
+    assert unit * ONE is ONE and ONE * unit is unit
+
+
+@given(any_scalars, any_scalars)
+@settings(max_examples=150)
+def test_non_unit_products_match_the_componentwise_formula(x, y):
+    if x.canonical == ONE.canonical or y.canonical == ONE.canonical:
+        return
+    got = x * y
+    assert got == _reference_mul(x, y)
+    _assert_canonical(got)
+
+
+def test_int_operands_take_the_int_path(monkeypatch):
+    from weylkit import exactnum
+
+    reduced = []
+    real = exactnum._reduced
+    monkeypatch.setattr(exactnum, "_reduced", lambda *t: reduced.append(t) or real(*t))
+    x = ExactScalar(Fraction(1, 6), Fraction(2), Fraction(-1, 3))
+    # The int path scales four numerators and reduces by one gcd only.
+    for n in (1, 3, -2, 0):
+        assert x * n == n * x == _reference_mul(x, ExactScalar.from_int(n))
+    assert reduced == []
+    x * ExactScalar.from_int(3)
+    assert len(reduced) == 1
+
+
 def test_dataclass_replace_keeps_working():
     x = ExactScalar(Fraction(1, 3), Fraction(2), Fraction(-1, 6), Fraction(0))
     y = dataclasses.replace(x, ra=Fraction(1, 2))

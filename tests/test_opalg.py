@@ -20,6 +20,7 @@ from weylkit.opalg import (
     ProductNode,
     Q,
     ScalarNode,
+    SumNode,
     Symbol,
     UnsupportedSymbolError,
     _evaluate,
@@ -289,6 +290,51 @@ def test_rewriting_is_linear(alpha, beta, x, y):
     direct = rewrite_to_pq(combo)
     split = rewrite_to_pq(x).scale(alpha) + rewrite_to_pq(y).scale(beta)
     assert direct.terms == split.terms
+
+
+def _reference_expand(e):
+    """Word expansion with every product through ``collect``, as it was
+    before one-term factors were distributed by a dict comprehension."""
+    if isinstance(e, PowerNode):
+        return _reference_expand(ProductNode((e.base,) * e.exponent))
+    if isinstance(e, ProductNode):
+        out = {(): ONE}
+        for child in e.children:
+            rhs = _reference_expand(child)
+            out = collect(
+                (w1 + w2, c1 * c2)
+                for w1, c1 in out.items()
+                for w2, c2 in rhs.items()
+            )
+        return out
+    if isinstance(e, SumNode):
+        return collect(
+            pair for child in e.children for pair in _reference_expand(child).items()
+        )
+    return e.expand()
+
+
+_EXPAND_SCALARS = (ZERO, ONE, I, MINUS_I, ExactScalar.from_int(-1), ExactScalar.rational(1, 2))
+expression_trees = st.recursive(
+    st.one_of(
+        st.sampled_from([Q, P]),
+        st.sampled_from(_EXPAND_SCALARS).map(ScalarNode),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3).map(lambda c: ProductNode(tuple(c))),
+        st.lists(kids, min_size=1, max_size=3).map(lambda c: SumNode(tuple(c))),
+        st.tuples(kids, st.integers(0, 2)).map(lambda t: PowerNode(*t)),
+    ),
+    max_leaves=8,
+)
+
+
+@given(expression_trees)
+@settings(max_examples=300, deadline=None)
+def test_expand_matches_collecting_every_product(tree):
+    got, want = tree.expand(), _reference_expand(tree)
+    # Item by item: the same words, coefficients and order.
+    assert list(got.items()) == list(want.items())
 
 
 def test_adjoint_flips_tag():
