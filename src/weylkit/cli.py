@@ -325,7 +325,11 @@ def cmd_transform(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     bounds = (
         "convert, commutator and expand exit 2 on inputs beyond these "
-        f"bounds: {_EXPANSION_BOUNDS}; parentheses and unary minus nest "
+        f"bounds: {_EXPANSION_BOUNDS}; an ordering block's products and "
+        f"powers may do at most {exprio.MAX_BLOCK_WORK} coefficient "
+        "products times coefficient bits (bits squared over 2^16 past "
+        "2^16 bits), bounded before each is made; "
+        "parentheses and unary minus nest "
         f"at most {exprio.MAX_NESTING} levels deep; an integer, in the "
         "input or the result, has at most Python's int/str digit limit "
         f"({exprio.max_int_digits() or 'none'})."

@@ -12,35 +12,45 @@ Surface syntax (ASCII only; explicit operators, no implicit products):
     block   := ('pq{' | 'qp{' | 'weyl{') expr '}'
 
 There is one grammar.  Outside an ordering block, products are
-noncommutative and the result is a :class:`FreeExpression`.  A block
-body is parsed by the same rules into a :class:`FreeExpression` tree,
-which is then evaluated with the symbols commuting, by the package's one
-product (:func:`weylkit.opalg._evaluate` with f = 0): the block denotes an
+noncommutative and the result is a :class:`FreeExpression` tree, the
+input of the rewriting oracle.  Inside a block the symbols commute, and
+every subexpression folds as it is parsed into its terms, a dict keyed
+(m, r) for Q^m P^r, through the package's one product
+(:func:`weylkit.opalg._product` and :func:`weylkit.opalg._power` with
+f = 0): a block body builds no tree, and the block denotes an
 :class:`OrderedPolynomial` with that tag.  Inside a block, ladder
 symbols and nested blocks are refused.  A block that is the whole input
 parses to the polynomial itself.  Any other block, whatever its tag, is
 spliced in as its P-Q words (:func:`as_words`), and the command line
 gives a lone block to ``commutator`` or ``expand`` the same splice.
 
-The lexer is one pass of one compiled ``re.ASCII`` pattern over the
-text; each match is a token together with the blanks before it.  The
-syntax is ASCII only: any other character, be it a digit, a letter or
-a space elsewhere in Unicode, is an unexpected character.
+The lexer is one ``findall`` of one compiled ``re.ASCII`` pattern over
+the text, each match a token with the blanks before it skipped, and one
+dict lookup per token gives its kind.  Only numbers and errors take a
+Python step of their own.  The syntax is ASCII only: any other
+character, be it a digit, a letter or a space elsewhere in Unicode, is
+an unexpected character.  Token spans are found again only for
+:func:`tokenize` and for an error.
 
-Scalar subexpressions fold as they are parsed.  A product whose factors
-are all scalars, a sum whose parts are all scalars and a negated scalar
-each become one :class:`ScalarNode` holding the exact value, so
-``(1 + 1)*Q`` parses to the tree of ``2*Q``.  Powers are not folded.
+Scalar subexpressions fold as they are parsed, in a block or not.  A
+product whose factors are all scalars, a sum whose parts are all
+scalars and a negated scalar each become one exact value (outside a
+block, one :class:`ScalarNode`), so ``(1 + 1)*Q`` parses to the tree of
+``2*Q``.  Outside a block, powers are not folded.
 
 Parentheses and unary minus nest at most ``MAX_NESTING`` levels deep,
 and an integer literal may have at most as many digits as Python reads
 into an int (:func:`max_int_digits`); past either bound the parser
-raises :class:`ParseError`.
+raises :class:`ParseError`.  So does a block whose products and powers
+would multiply out past ``MAX_BLOCK_WORK`` (:func:`_product_work`,
+:func:`_power_work`), before the product or power that passes it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 import re
 import sys
@@ -59,13 +69,22 @@ from .opalg import (
     SumNode,
     Symbol,
     SymbolNode,
-    _evaluate,
+    _power,
+    _product,
+    collect,
     to_expression,
 )
 
 # Deepest nesting of '(' and unary '-' the parser accepts; the recursive
 # descent takes up to five Python frames per level.
 MAX_NESTING = 100
+# Most work the products and powers of one ordering block may do, in
+# coefficient products times their bits (:func:`_bit_work`), bounded
+# before each one is made; a product of two one-term values is not
+# counted.  pq{(1+Q+P)^64} is bounded at 5.2e7 and folds in 0.35 s
+# (in-process, 2-core x86-64, Python 3.11); pq{(Q+P)^2000} is bounded
+# at 1.6e10 and pq{2^1000000000} at 1.5e13.
+MAX_BLOCK_WORK = 2**26
 
 
 class ParseError(ValueError):
@@ -109,10 +128,13 @@ _SYMBOLS = {
     "adag": Symbol.ADAG,
 }
 _ORDER_TAGS = {tag.value: tag for tag in Ordering}
-# The symbols allowed in a block, as commutative monomials Q^m P^r.
-_COMMUTING = {Symbol.Q: {(1, 0): ONE}, Symbol.P: {(0, 1): ONE}}
+# The symbols allowed in a block, as the key (m, r) of Q^m P^r.
+_COMMUTING = {Symbol.Q: (1, 0), Symbol.P: (0, 1)}
 _WORDS = {"i": "imag", "r2": "sqrt2", **dict.fromkeys(_SYMBOLS, "symbol")}
-_PUNCT = {
+# The kind of each token text that has one.  An ordering tag's token
+# text keeps its '{' and the end of the text is the empty token.  Any
+# other text is a number or an error.
+_KINDS = {
     "+": "plus",
     "-": "minus",
     "*": "star",
@@ -120,21 +142,25 @@ _PUNCT = {
     "(": "lparen",
     ")": "rparen",
     "}": "rbrace",
+    **_WORDS,
+    **{tag + "{": "order_open" for tag in _ORDER_TAGS},
+    "": "eof",
 }
+_BLOCK_TAGS = {tag.value + "{": tag for tag in Ordering}
 # The tokens that may end a term.
 _TERM_FOLLOW = frozenset(["plus", "minus", "rparen", "rbrace", "eof"])
-# One match per token, its leading blanks folded in: the blanks, then
-# digits with an optional '/' and denominator digits, a word with an
-# optional '{', one other character, or nothing at the end of the text.
-# The blanks are the ASCII characters str.isspace() accepts.  No
-# alternative starts on a blank, so a match never backtracks into them.
+# One match per token, its leading blanks skipped: digits with an
+# optional '/' and denominator digits, a word with an optional '{', one
+# other character, or nothing at the end of the text.  The blanks are
+# the ASCII characters str.isspace() accepts.  No alternative starts on
+# a blank, so a match never backtracks into them, and only the end of
+# the text matches nothing.
 _TOKEN = re.compile(
-    r"([\s\x1c-\x1f]*)"
-    r"(?:(\d+)(?:(/)(\d*))?|([A-Za-z]\w*)(\{)?|([^\s\x1c-\x1f])|\Z)",
-    re.ASCII,
+    r"[\s\x1c-\x1f]*(\d+(?:/\d*)?|[A-Za-z]\w*\{?|[^\s\x1c-\x1f]|\Z)", re.ASCII
 )
-# Token(*fields) without the Python-level NamedTuple.__new__.
+# Token(*fields) and Monomial(*key) without their Python-level __new__.
 _token = functools.partial(tuple.__new__, Token)
+_monomial = functools.partial(tuple.__new__, Monomial)
 
 
 def max_int_digits() -> int:
@@ -151,72 +177,76 @@ def _check_digits(start: int, end: int, limit: int) -> None:
         )
 
 
+def _lex(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and texts of the tokens of ``text``, ending with one
+    ``eof``, or the first error in the text as a :class:`ParseError`."""
+    texts = _TOKEN.findall(text)
+    del texts[texts.index("") + 1 :]
+    kinds = list(map(_KINDS.get, texts))
+    limit = max_int_digits()
+    index = 0
+    for _ in range(kinds.count(None)):
+        index = kinds.index(None, index)
+        token = texts[index]
+        num, slash, den = token.partition("/")
+        if (
+            not "0" <= token[0] <= "9"
+            or (slash and not den)
+            or (limit and max(len(num), len(den)) > limit)
+        ):
+            _raise_token_error(text, index, limit)
+        kinds[index] = "rational" if slash else "int"
+    return kinds, texts
+
+
+def _match(text: str, index: int) -> re.Match:
+    """The match of token ``index`` of ``text``."""
+    return next(itertools.islice(_TOKEN.finditer(text), index, None))
+
+
+def _make_token(kind: str, match: re.Match) -> Token:
+    start, end = match.span(1)
+    word = match.group(1)
+    if kind == "order_open":
+        word = word[:-1]  # the span keeps the '{'
+    return _token((kind, word, start, end))
+
+
+def _raise_token_error(text: str, index: int, limit: int):
+    """Raise the error of token ``index`` of ``text``, one :func:`_lex`
+    found no kind for, with its span."""
+    match = _match(text, index)
+    token, start = match.group(1), match.start(1)
+    if "0" <= token[0] <= "9":
+        num, _, den = token.partition("/")
+        end = start + len(num)
+        _check_digits(start, end, limit)
+        _check_digits(end + 1, end + 1 + len(den), limit)
+        raise ParseError("rational literal needs digits after '/'", (start, end + 1))
+    if not (token[0].isascii() and token[0].isalpha()):
+        raise ParseError(f"unexpected character {token!r}", (start, start + 1))
+    word = token.removesuffix("{")
+    end = start + len(word)
+    if word in _ORDER_TAGS:
+        raise ParseError(
+            f"ordering tag {word!r} must be followed by '{{'",
+            (start, end),
+            frozenset(["{"]),
+        )
+    if word not in _WORDS:
+        raise ParseError(
+            f"unknown symbol {word!r}",
+            (start, end),
+            frozenset(["Q", "P", "a", "adag", "i", "r2"]),
+        )
+    # A known word with a '{': only an ordering tag opens a block.
+    raise ParseError("unexpected character '{'", (end, end + 1))
+
+
 def tokenize(text: str) -> list[Token]:
     """The tokens of ``text``, ending with one ``eof`` token."""
-    tokens: list[Token] = []
-    append = tokens.append
-    limit = max_int_digits()
-    start = 0
-    for blanks, num, slash, den, word, brace, ch in _TOKEN.findall(text):
-        if blanks:
-            start += len(blanks)
-        if ch:
-            kind = _PUNCT.get(ch)
-            if kind is None:
-                raise ParseError(f"unexpected character {ch!r}", (start, start + 1))
-            append(_token((kind, ch, start, start + 1)))
-            start += 1
-        elif word:
-            end = start + len(word)
-            if word in _ORDER_TAGS:
-                if not brace:
-                    raise ParseError(
-                        f"ordering tag {word!r} must be followed by '{{'",
-                        (start, end),
-                        frozenset(["{"]),
-                    )
-                append(_token(("order_open", word, start, end + 1)))
-                start = end + 1
-                continue
-            kind = _WORDS.get(word)
-            if kind is None:
-                raise ParseError(
-                    f"unknown symbol {word!r}",
-                    (start, end),
-                    frozenset(["Q", "P", "a", "adag", "i", "r2"]),
-                )
-            if brace:  # only an ordering tag opens a block
-                raise ParseError("unexpected character '{'", (end, end + 1))
-            append(_token((kind, word, start, end)))
-            start = end
-        elif num:
-            end = start + len(num)
-            _check_digits(start, end, limit)
-            if slash:
-                _check_digits(end + 1, end + 1 + len(den), limit)
-                if not den:
-                    raise ParseError(
-                        "rational literal needs digits after '/'", (start, end + 1)
-                    )
-                end += 1 + len(den)
-                append(_token(("rational", text[start:end], start, end)))
-            else:
-                append(_token(("int", num, start, end)))
-            start = end
-        else:
-            append(_token(("eof", "", start, start)))
-            break
-    return tokens
-
-
-def _rational_value(token: Token) -> ExactScalar:
-    num, _, den = token.text.partition("/")
-    try:
-        return ExactScalar.rational(int(num), int(den))
-    except ZeroDivisionError:
-        raise ParseError(
-            "rational literal has zero denominator", token.span
-        ) from None
+    kinds, _ = _lex(text)
+    return list(map(_make_token, kinds, _TOKEN.finditer(text)))
 
 
 def _negate(node: FreeExpression) -> FreeExpression:
@@ -233,25 +263,109 @@ def _fold(nodes: list, combine, node_type) -> FreeExpression:
     return node_type(tuple(nodes))
 
 
+# ---------------------------------------------------------------------------
+# Block values: an exact scalar, or a dict of terms keyed (m, r)
+# ---------------------------------------------------------------------------
+
+
+def _terms(value) -> dict:
+    """A block value as its terms: a scalar is the constant term."""
+    if value.__class__ is dict:
+        return value
+    return {} if value.is_zero() else {(0, 0): value}
+
+
+def _coefficient_bits(terms: dict) -> int:
+    """Bits that bound the components and denominator of every
+    coefficient of a k-fold product of ``terms``, per factor.
+
+    With D the lcm of the denominators, a coefficient of the k-fold
+    product is a sum of products of k numerators over D**k.  The weight
+    |a| + |b| + 2(|c| + |d|) of a numerator (a + b*i + (c + d*i)*sqrt2)
+    bounds its components and is submultiplicative and subadditive, so
+    the numerators of the product are bounded by W**k, W the sum of the
+    weights of the numerators over D.
+    """
+    den = math.lcm(*(c.canonical[4] for c in terms.values()))
+    weight = 0
+    for coeff in terms.values():
+        a, b, c, d, q = coeff.canonical
+        weight += (abs(a) + abs(b) + 2 * (abs(c) + abs(d))) * (den // q)
+    return (weight - 1).bit_length() + (den - 1).bit_length()
+
+
+def _bit_work(bits: int) -> int:
+    """The work of one coefficient product of at most ``bits`` bits: its
+    bits, times bits / 2**16 past 2**16, as Python multiplies long ints
+    in more than linear time."""
+    return bits * max(1, bits >> 16)
+
+
+def _product_work(x: dict, y: dict) -> int:
+    """Coefficient products of x*y times the work of each."""
+    return len(x) * len(y) * _bit_work(_coefficient_bits(x) + _coefficient_bits(y))
+
+
+def _power_work(base: dict, exponent: int) -> int:
+    """The work of ``base**exponent``'s coefficient for one term, raised by
+    squaring; for more, a bound on the coefficient products of its
+    exponent - 1 products times the work of each."""
+    if len(base) == 1:
+        ((_, c),) = base.items()
+        return 0 if c is ONE else _bit_work(exponent * _coefficient_bits(base))
+    if not base or exponent < 2:
+        return 0
+    # Each product term is a sum of exponent keys of base: at most one
+    # per multiset of base's terms and per point of the scaled box.
+    ms, rs = [m for m, _ in base], [r for _, r in base]
+    count = min(
+        math.comb(len(base) + exponent - 1, len(base) - 1),
+        (exponent * (max(ms) - min(ms)) + 1) * (exponent * (max(rs) - min(rs)) + 1),
+    )
+    bits = exponent * _coefficient_bits(base)
+    return (exponent - 1) * len(base) * count * _bit_work(bits)
+
+
+def _block_sum(parts: list):
+    if all(part.__class__ is ExactScalar for part in parts):
+        return functools.reduce(operator.add, parts)
+    return collect(pair for part in parts for pair in _terms(part).items())
+
+
+def _block_negate(value):
+    if value.__class__ is ExactScalar:
+        return -value
+    return {key: -c for key, c in value.items()}
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.kinds, self.texts = _lex(text)
         self.pos = 0
         self.depth = 0
         self.in_block = False
+        # The open block's work so far, against MAX_BLOCK_WORK.
+        self.work = 0
 
-    def expect(self, kind: str) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != kind:
+    def token(self, pos: int) -> Token:
+        """Token ``pos`` with its span, for an error."""
+        return _make_token(self.kinds[pos], _match(self.text, pos))
+
+    def expect(self, kind: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            token = self.token(pos)
             raise ParseError(
                 f"expected {kind}, found {token.text or 'end of input'!r}",
                 token.span,
                 frozenset([kind]),
             )
-        self.pos += 1
-        return token
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def fail_junk(self, token: Token):
+    def fail_junk(self, pos: int):
+        token = self.token(pos)
         if token.kind == "caret":
             raise ParseError(
                 "powers do not chain; parenthesize the base, as in (Q^2)^3",
@@ -265,109 +379,160 @@ class _Parser:
             frozenset(["+", "-", "*", "^"]),
         )
 
-    def nested(self, token: Token, parse):
+    def nested(self, pos: int, parse):
         """Run ``parse`` one level deeper, refusing past MAX_NESTING."""
         if self.depth == MAX_NESTING:
             raise ParseError(
-                f"expression nests deeper than {MAX_NESTING} levels", token.span
+                f"expression nests deeper than {MAX_NESTING} levels",
+                self.token(pos).span,
             )
         self.depth += 1
         value = parse()
         self.depth -= 1
         return value
 
-    def parse_expr(self) -> FreeExpression:
-        tokens = self.tokens
-        kind = tokens[self.pos].kind
+    def charge(self, work: int, pos: int) -> None:
+        """Add ``work`` to the open block's, refusing past MAX_BLOCK_WORK."""
+        self.work += work
+        if self.work > MAX_BLOCK_WORK:
+            raise ParseError(
+                "ordering block too large to multiply out: its products and "
+                f"powers may do at most {MAX_BLOCK_WORK} coefficient products "
+                "times coefficient bits (bits squared over 2^16 past 2^16 bits)",
+                self.token(pos).span,
+            )
+
+    def parse_expr(self):
+        kinds = self.kinds
+        kind = kinds[self.pos]
         if kind == "minus":
             self.pos += 1
+        negate = _block_negate if self.in_block else _negate
         parts = []
         while True:
             term = self.parse_term()
-            parts.append(_negate(term) if kind == "minus" else term)
+            parts.append(negate(term) if kind == "minus" else term)
             # parse_term checked that a '+', '-' or an end follows.
-            kind = tokens[self.pos].kind
+            kind = kinds[self.pos]
             if kind != "plus" and kind != "minus":
                 break
             self.pos += 1
-        return parts[0] if len(parts) == 1 else _fold(parts, operator.add, SumNode)
+        if len(parts) == 1:
+            return parts[0]
+        if self.in_block:
+            return _block_sum(parts)
+        return _fold(parts, operator.add, SumNode)
 
-    def parse_term(self) -> FreeExpression:
-        tokens = self.tokens
-        factors = [self.parse_unary()]
-        while tokens[self.pos].kind == "star":
-            self.pos += 1
-            factors.append(self.parse_unary())
-        token = tokens[self.pos]
-        if token.kind not in _TERM_FOLLOW:
-            self.fail_junk(token)
-        return factors[0] if len(factors) == 1 else _fold(factors, operator.mul, ProductNode)
+    def parse_term(self):
+        kinds = self.kinds
+        value = self.parse_unary()
+        if kinds[self.pos] == "star":
+            if self.in_block:
+                # Folded left to right as read, as the tree would be.
+                while kinds[self.pos] == "star":
+                    star = self.pos
+                    self.pos += 1
+                    value = self.multiply(value, self.parse_unary(), star)
+            else:
+                factors = [value]
+                while kinds[self.pos] == "star":
+                    self.pos += 1
+                    factors.append(self.parse_unary())
+                value = _fold(factors, operator.mul, ProductNode)
+        if kinds[self.pos] not in _TERM_FOLLOW:
+            self.fail_junk(self.pos)
+        return value
 
-    def parse_unary(self) -> FreeExpression:
+    def multiply(self, x, y, star: int):
+        if x.__class__ is ExactScalar and y.__class__ is ExactScalar:
+            return x * y
+        x, y = _terms(x), _terms(y)
+        if len(x) > 1 or len(y) > 1:
+            self.charge(_product_work(x, y), star)
+        return _product(x, y, ZERO)
+
+    def parse_unary(self):
         """A unary, with its factor's power read here too."""
-        token = self.tokens[self.pos]
-        if token.kind == "minus":
-            self.pos += 1
-            return _negate(self.nested(token, self.parse_unary))
-        base = self.parse_primary(token)
-        if self.tokens[self.pos].kind == "caret":
-            self.pos += 1
-            return PowerNode(base, int(self.expect("int").text))
-        return base
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "minus":
+            self.pos = pos + 1
+            value = self.nested(pos, self.parse_unary)
+            return _block_negate(value) if self.in_block else _negate(value)
+        base = self.parse_primary(pos, kind)
+        caret = self.pos
+        if self.kinds[caret] != "caret":
+            return base
+        self.pos = caret + 1
+        exponent = int(self.expect("int"))
+        if not self.in_block:
+            return PowerNode(base, exponent)
+        base = _terms(base)
+        self.charge(_power_work(base, exponent), caret)
+        return _power(base, exponent, ZERO)
 
-    def parse_primary(self, token: Token) -> FreeExpression:
-        kind = token.kind
+    def parse_primary(self, pos: int, kind: str):
+        self.pos = pos + 1
         if kind == "symbol":
-            symbol = _SYMBOLS[token.text]
-            if self.in_block and symbol not in _COMMUTING:
+            symbol = _SYMBOLS[self.texts[pos]]
+            if not self.in_block:
+                return SymbolNode(symbol)
+            key = _COMMUTING.get(symbol)
+            if key is None:
                 raise ParseError(
                     "ladder symbols cannot appear inside an ordering block",
-                    token.span,
+                    self.token(pos).span,
                 )
-            self.pos += 1
-            return SymbolNode(symbol)
+            return {key: ONE}
         if kind == "int":
-            self.pos += 1
-            return ScalarNode(ExactScalar.from_int(int(token.text)))
-        if kind == "rational":
-            self.pos += 1
-            return ScalarNode(_rational_value(token))
-        if kind == "imag":
-            self.pos += 1
-            return ScalarNode(I)
-        if kind == "sqrt2":
-            self.pos += 1
-            return ScalarNode(SQRT2)
-        if kind == "lparen":
-            self.pos += 1
-            inner = self.nested(token, self.parse_expr)
+            value = ExactScalar.from_int(int(self.texts[pos]))
+        elif kind == "rational":
+            num, _, den = self.texts[pos].partition("/")
+            try:
+                value = ExactScalar.rational(int(num), int(den))
+            except ZeroDivisionError:
+                raise ParseError(
+                    "rational literal has zero denominator", self.token(pos).span
+                ) from None
+        elif kind == "imag":
+            value = I
+        elif kind == "sqrt2":
+            value = SQRT2
+        elif kind == "lparen":
+            inner = self.nested(pos, self.parse_expr)
             self.expect("rparen")
             return inner
-        if kind == "order_open":
-            if self.in_block:
-                raise ParseError("ordering blocks cannot nest", token.span)
-            lone = self.pos == 0
-            self.pos += 1
-            self.in_block = True
-            body = self.parse_expr()
-            self.expect("rbrace")
-            self.in_block = False
-            block = OrderedPolynomial.from_terms(
-                _ORDER_TAGS[token.text], _evaluate(body, _COMMUTING, ZERO).items()
+        elif kind == "order_open":
+            return self.parse_block(pos)
+        else:
+            token = self.token(pos)
+            raise ParseError(
+                f"expected a value, found {token.text or 'end of input'!r}",
+                token.span,
+                frozenset(
+                    ["scalar", "Q", "P", "("]
+                    if self.in_block
+                    else ["scalar", "symbol", "(", "pq{", "qp{", "weyl{"]
+                ),
             )
-            # A block that is the whole input is the polynomial itself.
-            if lone and self.tokens[self.pos].kind == "eof":
-                return block
-            return as_words(block)
-        raise ParseError(
-            f"expected a value, found {token.text or 'end of input'!r}",
-            token.span,
-            frozenset(
-                ["scalar", "Q", "P", "("]
-                if self.in_block
-                else ["scalar", "symbol", "(", "pq{", "qp{", "weyl{"]
-            ),
+        return value if self.in_block else ScalarNode(value)
+
+    def parse_block(self, pos: int):
+        if self.in_block:
+            raise ParseError("ordering blocks cannot nest", self.token(pos).span)
+        self.in_block = True
+        self.work = 0
+        body = self.parse_expr()
+        self.expect("rbrace")
+        self.in_block = False
+        block = OrderedPolynomial(
+            _BLOCK_TAGS[self.texts[pos]],
+            {_monomial(key): c for key, c in _terms(body).items()},
         )
+        # A block that is the whole input is the polynomial itself.
+        if pos == 0 and self.kinds[self.pos] == "eof":
+            return block
+        return as_words(block)
 
 
 def parse(text: str) -> FreeExpression | OrderedPolynomial:
@@ -385,6 +550,7 @@ def as_words(value: FreeExpression | OrderedPolynomial) -> FreeExpression:
     if isinstance(value, OrderedPolynomial):
         return to_expression(_conv.convert(value, Ordering.PQ))
     return value
+
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ product, and the brute-force rewriting oracle kept apart from it.
 keyed (a, b) = left^a right^b; it moves right^b1 past left^a2 under
 right*left = left*right + f by the reordering family that
 :mod:`weylkit.ordering` converts with, :func:`_conversion_terms`, which
-lives here.  :func:`_evaluate` folds it over a parse tree: f = 0 for
-block bodies, f = 1 over (a+, a) for :func:`normal_order`.
+lives here, and :func:`_power` raises a term dict to a power with it.
+The parser folds ordering-block bodies with both, f = 0, as it reads
+them; :func:`_evaluate` folds them over a parse tree, f = 1 over (a+, a)
+for :func:`normal_order`.
 
 The rewriting oracle (:func:`rewrite_to_pq`, :func:`rewrite_to_qp`,
 :func:`commutator`) uses none of it: it expands into words over the
@@ -107,16 +109,60 @@ def _conversion_terms(
 def _product(x: Mapping, y: Mapping, f: ExactScalar) -> dict:
     """Product of term dicts keyed (a, b) = left^a right^b, x outer, y inner:
     (left^a1 right^b1)(left^a2 right^b2) = sum_l f^l l! C(b1,l) C(a2,l)
-    left^(a1+a2-l) right^(b1+b2-l), where right*left = left*right + f."""
+    left^(a1+a2-l) right^(b1+b2-l), where right*left = left*right + f.
+
+    No coefficient is multiplied by the l = 0 factor 1.  When f = 0 and
+    one side has one term, the other's keys shift without collect: they
+    stay distinct, and products of nonzero coefficients are nonzero."""
+    commuting = f.is_zero()
+    if commuting and len(y) == 1:
+        return _shift(x, *next(iter(y.items())))
+    if commuting and len(x) == 1:
+        return _shift(y, *next(iter(x.items())))
 
     def terms():
         for (a1, b1), c1 in x.items():
             for (a2, b2), c2 in y.items():
                 c = c1 * c2
-                for (b, a), n in _conversion_terms(b1, a2, f):
-                    yield (a1 + a, b + b2), c * n
+                yield (a1 + a2, b1 + b2), c
+                if b1 and a2 and not commuting:
+                    contractions = _conversion_terms(b1, a2, f)
+                    for (b, a), n in itertools.islice(contractions, 1, None):
+                        yield (a1 + a, b + b2), c * n
 
     return collect(terms())
+
+
+def _shift(terms: Mapping, key: tuple[int, int], coeff: ExactScalar) -> dict:
+    """``terms`` times the one commuting term ``coeff`` left^a right^b,
+    ``key`` = (a, b), in ``terms``' order, multiplying by no 1."""
+    a, b = key
+    if coeff is ONE:
+        return {(a1 + a, b1 + b): c for (a1, b1), c in terms.items()}
+    return {
+        (a1 + a, b1 + b): coeff if c is ONE else c * coeff
+        for (a1, b1), c in terms.items()
+    }
+
+
+def _power(base: Mapping, exponent: int, f: ExactScalar) -> dict:
+    """``base`` to the power ``exponent`` under :func:`_product` with f.
+
+    A power of one term whose factors commute (any term when f = 0, a
+    power of one generator otherwise) is one monomial, its coefficient
+    raised by squaring.  Any other nonzero base is multiplied out
+    exponent - 1 times, left to right; the empty product is the unit.
+    """
+    if len(base) == 1:
+        (((a, b), c),) = base.items()
+        if not (a and b) or f.is_zero():
+            return {(a * exponent, b * exponent): c if c is ONE else c**exponent}
+    if not exponent:
+        return {(0, 0): ONE}
+    out = base  # zero, when base is, at once
+    for _ in range(exponent - 1 if base else 0):
+        out = _product(out, base, f)
+    return out
 
 
 def term_sort_key(mon: Monomial) -> tuple[int, int]:
@@ -348,13 +394,9 @@ ADAG = SymbolNode(Symbol.ADAG)
 
 def _evaluate(tree: FreeExpression, leaves: Mapping, f: ExactScalar) -> dict:
     """Terms of ``tree``, each symbol read as its term dict in ``leaves``,
-    folded bottom-up and left to right with :func:`_product`.
-
-    A symbol without a leaf is refused wherever it stands, even under a
-    zero coefficient.  A power of one term whose factors commute (any
-    term when f = 0, a power of one generator when f = 1) is one
-    monomial, its coefficient raised by squaring.
-    """
+    folded bottom-up and left to right with :func:`_product` and
+    :func:`_power`.  A symbol without a leaf is refused wherever it
+    stands, even under a zero coefficient."""
     if isinstance(tree, SumNode):
         parts = (_evaluate(child, leaves, f).items() for child in tree.children)
         return collect(pair for part in parts for pair in part)
@@ -366,15 +408,8 @@ def _evaluate(tree: FreeExpression, leaves: Mapping, f: ExactScalar) -> dict:
             raise UnsupportedSymbolError(f"symbol {name!r} is not in this algebra")
         return dict(leaves[tree.symbol])
     if isinstance(tree, PowerNode):
-        base = _evaluate(tree.base, leaves, f)
-        if len(base) == 1:
-            (((a, b), c),) = base.items()
-            if not (a and b) or f.is_zero():  # one monomial, not e - 1 products
-                e = tree.exponent
-                return {(a * e, b * e): c if c is ONE else c**e}
-        factors = itertools.repeat(base, tree.exponent)
-    else:
-        factors = (_evaluate(child, leaves, f) for child in tree.children)
+        return _power(_evaluate(tree.base, leaves, f), tree.exponent, f)
+    factors = (_evaluate(child, leaves, f) for child in tree.children)
     out = next(factors, {(0, 0): ONE})  # an empty product is the unit
     for factor in factors:
         out = _product(out, factor, f)

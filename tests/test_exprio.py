@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit import exprio, ordering as conv
-from weylkit.exactnum import SQRT2, ExactScalar, I, ONE
+from weylkit import cli, exprio, opalg, ordering as conv
+from weylkit.exactnum import SQRT2, ZERO, ExactScalar, I, ONE
 from weylkit.exprio import (
+    MAX_BLOCK_WORK,
     MAX_NESTING,
     ParseError,
     max_int_digits,
@@ -20,6 +21,9 @@ from weylkit.exprio import (
     render,
     render_terms,
     tokenize,
+    _coefficient_bits,
+    _power_work,
+    _product_work,
 )
 from weylkit.opalg import (
     FreeExpression,
@@ -30,6 +34,9 @@ from weylkit.opalg import (
     ProductNode,
     ScalarNode,
     SumNode,
+    SymbolNode,
+    _power,
+    _product,
     collect,
     rewrite_to_pq,
 )
@@ -591,6 +598,11 @@ block_bodies = st.recursive(
 @given(block_bodies, st.sampled_from(["pq", "qp", "weyl"]))
 @example("(Q + 1)*(P + 2)*(Q - P)", "pq")
 @example("-(Q + P)^2*Q^3 - P^2*(i + r2)^0", "qp")
+@example("Q - Q + P + Q", "pq")
+@example("0*Q^3 + P", "weyl")
+@example("(Q - Q)^2*P", "qp")
+@example("2*Q^0*P*(1/2)^3*Q + (1/2)^3*Q^0", "pq")
+@example("--Q*-P - -(-Q)^2 + ---1 - -(-(P - Q))", "weyl")
 @settings(max_examples=300, deadline=None)
 def test_block_fold_matches_reference_grammar(body, tag):
     poly = parse(f"{tag}{{{body}}}")
@@ -599,31 +611,37 @@ def test_block_fold_matches_reference_grammar(body, tag):
     assert got == _reference_block(body), body
 
 
-def test_each_block_body_is_evaluated_once(monkeypatch):
-    calls = []
-    evaluate = exprio._evaluate
+def test_block_bodies_fold_without_a_tree_and_splice_once(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a block body builds no tree and needs no evaluation")
 
-    def counted(*args):
-        calls.append(args[0])
-        return evaluate(*args)
+    monkeypatch.setattr(opalg, "_evaluate", refused)
+    spliced = []
+    as_words = exprio.as_words
 
-    def refused(*args):
-        raise AssertionError("a lone block needs no word form")
+    def counted(block):
+        spliced.append(block.ordering.value)
+        return as_words(block)
 
-    monkeypatch.setattr(exprio, "_evaluate", counted)
-    for text, count in (
-        ("pq{(Q+P+1)^4} + Q", 1),
-        ("Q + pq{(Q+P+1)^4}", 1),
-        ("qp{Q} * weyl{P} - pq{1}", 3),
+    monkeypatch.setattr(exprio, "as_words", counted)
+    for text, tags in (
+        ("pq{(Q+P+1)^4} + Q", ["pq"]),
+        ("Q + pq{(Q+P+1)^4}", ["pq"]),
+        ("qp{Q} * weyl{P} - pq{1}", ["qp", "weyl", "pq"]),
     ):
-        calls.clear()
+        spliced.clear()
         assert isinstance(parse(text), FreeExpression)
-        assert len(calls) == count, text
+        assert spliced == tags, text
+    # A lone block makes no node, no word form and no conversion.
+    for node_type in (ScalarNode, SymbolNode, SumNode, ProductNode, PowerNode):
+        monkeypatch.setattr(node_type, "__init__", refused)
     monkeypatch.setattr(exprio, "to_expression", refused)
     monkeypatch.setattr(exprio._conv, "convert", refused)
-    calls.clear()
-    assert parse("weyl{(Q+P+1)^4}").ordering is Ordering.WEYL
-    assert len(calls) == 1
+    spliced.clear()
+    body = "-(Q+P+1)^4*(2*Q - i*P^2) + (1/2)^3 + r2*(Q - Q)"
+    poly = parse(f"weyl{{{body}}}")
+    assert poly.ordering is Ordering.WEYL and spliced == []
+    assert [(tuple(mon), c) for mon, c in poly.terms.items()] == _reference_block(body)
 
 
 def test_block_rules_end_at_the_closing_brace():
@@ -637,6 +655,95 @@ def test_block_rules_end_at_the_closing_brace():
     assert err.value.expected == frozenset(
         ["scalar", "symbol", "(", "pq{", "qp{", "weyl{"]
     )
+
+
+def test_block_at_the_nesting_cap_folds_like_the_reference(capsys):
+    # Each '-(1 + Q*' is two levels: a unary minus and a parenthesis.
+    half = MAX_NESTING // 2
+    body = "Q*" + "-(1 + Q*" * half + "P" + ")" * half
+    poly = parse(f"qp{{{body}}}")
+    assert len(poly.terms) == half + 1
+    assert [(tuple(mon), c) for mon, c in poly.terms.items()] == _reference_block(body)
+    too_deep = "qp{Q*" + "-(1 + Q*" * half + "-P" + ")" * half + "}"
+    assert cli.main(["convert", too_deep, "--to", "pq", "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    start = len("qp{Q*") + len("-(1 + Q*") * half
+    assert payload["span"] == [start, start + 1]
+    assert payload["message"].splitlines()[0] == (
+        f"expression nests deeper than {MAX_NESTING} levels"
+    )
+
+
+def test_block_work_bound_refuses_before_multiplying(monkeypatch):
+    # Past 2**16 bits a coefficient's bits count squared over 2**16:
+    # 3^1300000 would have 2.1e6 bits.
+    for text, caret in (
+        ("pq{(Q+P)^2000}", 8),
+        ("pq{2^1000000000}", 4),
+        ("pq{3^1300000}", 4),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(MAX_BLOCK_WORK) in err.value.message
+        assert err.value.span == (caret, caret + 1)
+    # One scalar and one term with a unit coefficient do no work, and
+    # zero to any power is raised at once.
+    assert parse("pq{i^100000000*(Q*P)^1000}").terms == {Monomial(1000, 1000): ONE}
+    assert parse("pq{(Q - Q)^1000000000 + 0^0}").terms == {Monomial(0, 0): ONE}
+    # The work of one block adds up over its products, and each block
+    # has its own bound.
+    monkeypatch.setattr(exprio, "MAX_BLOCK_WORK", 3 * _product_work(
+        {(1, 0): ONE, (0, 1): ONE}, {(1, 0): ONE, (0, 1): ONE}
+    ))
+    parse("pq{(Q+P)*(Q+P)} + qp{(Q+P)*(Q+P)}")
+    with pytest.raises(ParseError) as err:
+        parse("pq{(Q+P)*(Q+P) + (Q+P)*(Q+P)*(Q+P)}")
+    assert err.value.span == (28, 29)
+    # Each one-term factor of a sum counts too: here 2 each.
+    parse("pq{(Q+P)" + "*Q" * 12 + "}")
+    with pytest.raises(ParseError) as err:
+        parse("pq{(Q+P)" + "*Q" * 13 + "}")
+    assert err.value.span == (32, 33)
+    help_text = " ".join(cli.build_parser().format_help().split())
+    assert f"at most {exprio.MAX_BLOCK_WORK} coefficient products" in help_text
+
+
+def _largest(terms: dict) -> int:
+    """The largest integer in the canonical form of any coefficient."""
+    return max((abs(n) for c in terms.values() for n in c.canonical), default=1)
+
+
+block_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.builds(
+        lambda parts, d: ExactScalar(*(Fraction(n, d) for n in parts)),
+        st.tuples(*[st.integers(-9, 9)] * 4),
+        st.integers(1, 6),
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda t: {key: c for key, c in t.items() if not c.is_zero()})
+
+
+@given(block_terms, block_terms, st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_block_work_bounds_the_result(x, y, exponent):
+    # No integer of a coefficient of a k-fold product passes 2**(k*B),
+    # B = _coefficient_bits of one factor, and a product of x and y has at
+    # most len(x) * len(y) terms.
+    bits = _coefficient_bits(x)
+    product = _product(x, y, ZERO)
+    assert len(product) <= len(x) * len(y)
+    assert _largest(product) <= 2 ** (bits + _coefficient_bits(y))
+    assert _largest(_power(x, exponent, ZERO)) <= 2 ** (exponent * bits)
+    # The power's bound covers each of its products: terms times terms
+    # times the bits of the result.
+    work, out = 0, x
+    for _ in range(exponent - 1 if len(x) > 1 else 0):
+        step = _product(out, x, ZERO)
+        work += len(out) * len(x) * max(1, _largest(step).bit_length() - 1)
+        out = step
+    assert work <= _power_work(x, exponent)
 
 
 def _parens(depth: int) -> str:
