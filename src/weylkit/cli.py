@@ -15,7 +15,7 @@ import inspect
 import json
 import sys
 
-from . import exprio, ordering as conv, verify
+from . import exprio, opalg, ordering as conv, verify
 from .opalg import (
     FreeExpression,
     Ordering,
@@ -50,7 +50,7 @@ MAX_EXPANSION_WORK = 2**22
 
 
 class ExpansionTooLargeError(ValueError):
-    """A bare expression whose expansion exceeds the rewriting bounds."""
+    """An expansion past the rewriting bounds, or a conversion past MAX_WORK."""
 
 
 def _expansion_size(e: FreeExpression) -> tuple[int, int]:
@@ -124,7 +124,16 @@ def _to_polynomial(
 ) -> OrderedPolynomial:
     if isinstance(value, FreeExpression):
         value = _rewrite(value)
+    if opalg._conversion_work(value, target) > opalg.MAX_WORK:
+        raise ExpansionTooLargeError("too large to convert: a conversion may do at most "
+                                     f"{opalg.MAX_WORK} coefficient products times coefficient bits")
     return conv.convert(value, target)
+
+
+def _words(value) -> FreeExpression:
+    """A lone block as its P-Q words, its conversion bounded first."""
+    block = isinstance(value, OrderedPolynomial)
+    return exprio.as_words(_to_polynomial(value, Ordering.PQ) if block else value)
 
 
 def _emit_polynomial(poly: OrderedPolynomial, as_json: bool) -> int:
@@ -167,7 +176,7 @@ def _run(args, sources: list[str], build) -> int:
 
 
 def _commutator(left, right) -> OrderedPolynomial:
-    left, right = exprio.as_words(left), exprio.as_words(right)
+    left, right = _words(left), _words(right)
     return _rewrite(left * right - right * left)
 
 
@@ -185,23 +194,25 @@ def cmd_expand(args) -> int:
         return _print_error("--power must be non-negative", args.format == "json")
 
     def build(base) -> OrderedPolynomial:
-        power = PowerNode(exprio.as_words(base), args.power)
+        power = PowerNode(_words(base), args.power)
         return _to_polynomial(power, Ordering(args.to))
 
     return _run(args, [args.expr], build)
 
 
 def cmd_verify(args) -> int:
-    # Only the options the suite takes are checked: run_suite drops the rest.
-    takes = inspect.signature(verify.SUITES[args.suite]).parameters
-    if "max_degree" in takes and args.max_degree is not None:
+    # Only the options the suite takes, and that are set, are checked and passed.
+    suite = verify.SUITES[args.suite]
+    takes = inspect.signature(suite).parameters
+    options = {k: v for k, v in vars(args).items() if k in takes and v is not None}
+    if "max_degree" in options:
         if args.max_degree > MAX_DEGREE_GUARD:
             return _print_error(
                 f"--max-degree is capped at {MAX_DEGREE_GUARD}", args.json
             )
         if args.max_degree < 0:
             return _print_error("--max-degree must be non-negative", args.json)
-    if "dim" in takes:
+    if "dim" in options:
         if args.dim > MAX_DIM_GUARD:
             return _print_error(f"--dim is capped at {MAX_DIM_GUARD}", args.json)
         if args.dim < MIN_DIM_GUARD:
@@ -210,7 +221,7 @@ def cmd_verify(args) -> int:
                 "blocks and |beta| <= 1 coherent states need that many Fock levels",
                 args.json,
             )
-    checks = verify.run_suite(args.suite, args.max_degree, args.dim)
+    checks = suite(**options)
     failed = [c for c in checks if not c.passed]
     status = "ok" if not failed else "mismatch"
     outcome = {
@@ -326,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = (
         "convert, commutator and expand exit 2 on inputs beyond these "
         f"bounds: {_EXPANSION_BOUNDS}; an ordering block's products and "
-        f"powers may do at most {exprio.MAX_BLOCK_WORK} coefficient "
-        "products times coefficient bits (bits squared over 2^16 past "
-        "2^16 bits), bounded before each is made; "
+        "powers, and a conversion between orderings, may do at most "
+        f"{opalg.MAX_WORK} coefficient products times coefficient bits (bits "
+        "squared over 2^16 past 2^16 bits), bounded before each is made; "
         "parentheses and unary minus nest "
         f"at most {exprio.MAX_NESTING} levels deep; an integer, in the "
         "input or the result, has at most Python's int/str digit limit "

@@ -189,14 +189,13 @@ class ExactScalar:
     def __pow__(self, exponent: int) -> ExactScalar:
         if exponent < 0:
             return self.invert() ** (-exponent)
-        out = ONE
-        base = self
-        k = exponent
+        out, base, k = ONE, self, exponent
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # no square past the top bit
+                base = base * base
         return out
 
     def conjugate(self) -> ExactScalar:

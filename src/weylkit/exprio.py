@@ -41,22 +41,21 @@ block, one :class:`ScalarNode`), so ``(1 + 1)*Q`` parses to the tree of
 Parentheses and unary minus nest at most ``MAX_NESTING`` levels deep,
 and an integer literal may have at most as many digits as Python reads
 into an int (:func:`max_int_digits`); past either bound the parser
-raises :class:`ParseError`.  So does a block whose products and powers
-would multiply out past ``MAX_BLOCK_WORK`` (:func:`_product_work`,
-:func:`_power_work`), before the product or power that passes it.
+raises :class:`ParseError`.  So does a block whose products, powers and,
+if it is spliced, conversion to words would pass ``opalg.MAX_WORK``
+(:mod:`weylkit.opalg`'s work model), before the operator that passes it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import re
 import sys
 from typing import NamedTuple
 
-from . import ordering as _conv
+from . import opalg, ordering as _conv
 from .exactnum import MINUS_ONE, ExactScalar, I, ONE, SQRT2, ZERO
 from .opalg import (
     FreeExpression,
@@ -69,8 +68,11 @@ from .opalg import (
     SumNode,
     Symbol,
     SymbolNode,
+    _conversion_work,
     _power,
+    _power_work,
     _product,
+    _product_work,
     collect,
     to_expression,
 )
@@ -78,13 +80,6 @@ from .opalg import (
 # Deepest nesting of '(' and unary '-' the parser accepts; the recursive
 # descent takes up to five Python frames per level.
 MAX_NESTING = 100
-# Most work the products and powers of one ordering block may do, in
-# coefficient products times their bits (:func:`_bit_work`), bounded
-# before each one is made; a product of two one-term values is not
-# counted.  pq{(1+Q+P)^64} is bounded at 5.2e7 and folds in 0.35 s
-# (in-process, 2-core x86-64, Python 3.11); pq{(Q+P)^2000} is bounded
-# at 1.6e10 and pq{2^1000000000} at 1.5e13.
-MAX_BLOCK_WORK = 2**26
 
 
 class ParseError(ValueError):
@@ -275,57 +270,6 @@ def _terms(value) -> dict:
     return {} if value.is_zero() else {(0, 0): value}
 
 
-def _coefficient_bits(terms: dict) -> int:
-    """Bits that bound the components and denominator of every
-    coefficient of a k-fold product of ``terms``, per factor.
-
-    With D the lcm of the denominators, a coefficient of the k-fold
-    product is a sum of products of k numerators over D**k.  The weight
-    |a| + |b| + 2(|c| + |d|) of a numerator (a + b*i + (c + d*i)*sqrt2)
-    bounds its components and is submultiplicative and subadditive, so
-    the numerators of the product are bounded by W**k, W the sum of the
-    weights of the numerators over D.
-    """
-    den = math.lcm(*(c.canonical[4] for c in terms.values()))
-    weight = 0
-    for coeff in terms.values():
-        a, b, c, d, q = coeff.canonical
-        weight += (abs(a) + abs(b) + 2 * (abs(c) + abs(d))) * (den // q)
-    return (weight - 1).bit_length() + (den - 1).bit_length()
-
-
-def _bit_work(bits: int) -> int:
-    """The work of one coefficient product of at most ``bits`` bits: its
-    bits, times bits / 2**16 past 2**16, as Python multiplies long ints
-    in more than linear time."""
-    return bits * max(1, bits >> 16)
-
-
-def _product_work(x: dict, y: dict) -> int:
-    """Coefficient products of x*y times the work of each."""
-    return len(x) * len(y) * _bit_work(_coefficient_bits(x) + _coefficient_bits(y))
-
-
-def _power_work(base: dict, exponent: int) -> int:
-    """The work of ``base**exponent``'s coefficient for one term, raised by
-    squaring; for more, a bound on the coefficient products of its
-    exponent - 1 products times the work of each."""
-    if len(base) == 1:
-        ((_, c),) = base.items()
-        return 0 if c is ONE else _bit_work(exponent * _coefficient_bits(base))
-    if not base or exponent < 2:
-        return 0
-    # Each product term is a sum of exponent keys of base: at most one
-    # per multiset of base's terms and per point of the scaled box.
-    ms, rs = [m for m, _ in base], [r for _, r in base]
-    count = min(
-        math.comb(len(base) + exponent - 1, len(base) - 1),
-        (exponent * (max(ms) - min(ms)) + 1) * (exponent * (max(rs) - min(rs)) + 1),
-    )
-    bits = exponent * _coefficient_bits(base)
-    return (exponent - 1) * len(base) * count * _bit_work(bits)
-
-
 def _block_sum(parts: list):
     if all(part.__class__ is ExactScalar for part in parts):
         return functools.reduce(operator.add, parts)
@@ -345,7 +289,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.in_block = False
-        # The open block's work so far, against MAX_BLOCK_WORK.
+        # The open block's work so far, against opalg.MAX_WORK.
         self.work = 0
 
     def token(self, pos: int) -> Token:
@@ -392,13 +336,13 @@ class _Parser:
         return value
 
     def charge(self, work: int, pos: int) -> None:
-        """Add ``work`` to the open block's, refusing past MAX_BLOCK_WORK."""
+        """Add ``work`` to the open block's, refusing past opalg.MAX_WORK."""
         self.work += work
-        if self.work > MAX_BLOCK_WORK:
+        if self.work > opalg.MAX_WORK:
             raise ParseError(
-                "ordering block too large to multiply out: its products and "
-                f"powers may do at most {MAX_BLOCK_WORK} coefficient products "
-                "times coefficient bits (bits squared over 2^16 past 2^16 bits)",
+                "ordering block too large to multiply out: its products, "
+                f"powers and conversion may do at most {opalg.MAX_WORK} coefficient "
+                "products times coefficient bits (bits squared over 2^16 past 2^16 bits)",
                 self.token(pos).span,
             )
 
@@ -532,6 +476,7 @@ class _Parser:
         # A block that is the whole input is the polynomial itself.
         if pos == 0 and self.kinds[self.pos] == "eof":
             return block
+        self.charge(_conversion_work(block, Ordering.PQ), pos)
         return as_words(block)
 
 
@@ -550,7 +495,6 @@ def as_words(value: FreeExpression | OrderedPolynomial) -> FreeExpression:
     if isinstance(value, OrderedPolynomial):
         return to_expression(_conv.convert(value, Ordering.PQ))
     return value
-
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ the exact ones never load it.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -515,20 +514,3 @@ SUITES = {
     "wigner": suite_wigner,
     "transform": suite_transform,
 }
-
-
-def run_suite(
-    name: str, max_degree: int | None = None, dim: int = 64
-) -> list[CheckResult]:
-    """Run one suite, passing only the options its signature takes.
-
-    An option left at None keeps the suite's own default.
-    """
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    suite = SUITES[name]
-    options = {"max_degree": max_degree, "dim": dim}
-    params = inspect.signature(suite).parameters
-    return suite(
-        **{k: v for k, v in options.items() if k in params and v is not None}
-    )

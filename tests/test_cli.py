@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from weylkit import cli, exprio, ordering as conv, phasexform, verify
+from weylkit import cli, exprio, opalg, ordering as conv, phasexform, verify
 from weylkit.opalg import OrderedPolynomial, Ordering
 
 
@@ -220,6 +220,56 @@ def test_oversized_bare_expressions_exit_2_promptly(capsys, argv):
     assert code == 2 and not out
     assert "expression too large to rewrite" in err
     assert str(cli.MAX_EXPANSION_WORK) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("convert", "pq{(Q*P)^100000}", "--to", "qp"),
+        ("convert", "weyl{Q^3000*P^3000}", "--to", "pq"),
+        ("convert", "pq{Q^20000*P^20000}", "--to", "weyl"),
+        ("commutator", "qp{(Q*P)^100000}", "Q"),
+        ("expand", "weyl{(Q*P)^100000}", "--power", "1", "--to", "weyl"),
+    ],
+)
+def test_oversized_conversions_exit_2_promptly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert f"too large to convert: a conversion may do at most {opalg.MAX_WORK} " in err
+
+
+def test_conversions_share_the_block_work_bound(capsys, monkeypatch):
+    block = exprio.parse("pq{(Q*P)^20 - 3*Q}")
+    work = opalg._conversion_work(block, Ordering.QP)
+    want = exprio.render_terms(conv.convert(block, Ordering.QP))
+    monkeypatch.setattr(opalg, "MAX_WORK", work)
+    assert run(capsys, "convert", "pq{(Q*P)^20 - 3*Q}", "--to", "qp") == (0, want + "\n", "")
+    monkeypatch.setattr(opalg, "MAX_WORK", work - 1)
+    code, out, err = run(capsys, "convert", "pq{(Q*P)^20 - 3*Q}", "--to", "qp")
+    assert code == 2 and not out and f"at most {work - 1} " in err
+    # A lone block spliced into words is bounded the same way, and a
+    # conversion to the block's own tag does no work.
+    code, _, err = run(capsys, "commutator", "qp{(Q*P)^20 - 3*Q}", "P")
+    assert code == 2 and f"at most {work - 1} " in err
+    assert run(capsys, "convert", "pq{(Q*P)^20 - 3*Q}", "--to", "pq")[0] == 0
+    # The parser charges a spliced block's conversion to P-Q words to the
+    # block, at its opening tag, so a P-Q block splices for free.
+    with pytest.raises(exprio.ParseError) as err:
+        exprio.parse("P + qp{(Q*P)^20 - 3*Q}")
+    assert err.value.span == (4, 7) and str(work - 1) in err.value.message
+    exprio.parse("P + pq{(Q*P)^20 - 3*Q}")
+    # The library conversion has no bound.
+    assert exprio.render_terms(conv.convert(block, Ordering.QP)) == want
+
+
+def test_conversion_bound_accepts_long_monomials_with_short_coefficients(capsys):
+    # l! C(m,l) C(r,l) <= (m r)^l: a high power of Q beside a low power of
+    # P is bounded by its few small coefficients, not by 2^m.
+    code, out, _ = run(capsys, "convert", "pq{Q^2000000*P^2}", "--to", "qp")
+    want = "Q^2000000*P^2 + -4000000*i*Q^1999999*P + -3999998000000*Q^1999998\n"
+    assert (code, out) == (0, want)
 
 
 def test_expansion_bounds_accept_their_edges(capsys):
@@ -662,6 +712,20 @@ def test_module_layering():
                 for node in ast.walk(tree)
             }
             assert "to_expression" not in names, path.name
+    # One work model, in opalg: the parser charges it and defines none of it,
+    # and the product and conversion layers never import the parser.
+    top = ast.parse((src / "exprio.py").read_text()).body
+    defined = {getattr(node, "name", None) for node in top} | {
+        target.id for node in top if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    cost_model = {"MAX_WORK", "MAX_BLOCK_WORK", "_coefficient_bits", "_bit_work",
+                  "_product_work", "_power_work", "_conversion_work"}
+    assert not defined & cost_model
+    assert cost_model - {"MAX_BLOCK_WORK"} <= set(vars(opalg))
+    for module in ("opalg", "ordering"):
+        imported = _imports(src / f"{module}.py", top_level_only=False)
+        assert not {n for n in imported if "exprio" in n}, module
 
 
 def test_numeric_names_load_on_first_access(capsys):

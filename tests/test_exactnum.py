@@ -374,3 +374,18 @@ def test_component_texts_and_complex_match_fractions(x):
         float(x.ia) + float(x.ib) * math.sqrt(2.0),
     )
     assert x.to_complex() == want
+
+
+def test_powers_square_no_further_than_the_top_bit(monkeypatch):
+    # Square-and-multiply makes one square per bit below the top one and
+    # one product per set bit; a square past the top bit is never used.
+    x = ExactScalar(Fraction(3, 2), Fraction(1))
+    cases = [(x, k) for k in (0, 1, 2, 3, 5, 8, 13, 64, 100)] + [(I, 2**20), (I, 2**20 + 1)]
+    expected = [math.prod([base] * k, start=ONE) for base, k in cases[:-2]] + [ONE, I]
+    calls = []
+    mul = ExactScalar.__mul__
+    monkeypatch.setattr(ExactScalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for (base, k), want in zip(cases, expected):
+        calls.clear()
+        assert base**k == want
+        assert len(calls) == max(0, k.bit_length() - 1) + bin(k).count("1"), k

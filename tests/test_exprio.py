@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from weylkit import cli, exprio, opalg, ordering as conv
 from weylkit.exactnum import SQRT2, ZERO, ExactScalar, I, ONE
 from weylkit.exprio import (
-    MAX_BLOCK_WORK,
     MAX_NESTING,
     ParseError,
     max_int_digits,
@@ -21,11 +20,9 @@ from weylkit.exprio import (
     render,
     render_terms,
     tokenize,
-    _coefficient_bits,
-    _power_work,
-    _product_work,
 )
 from weylkit.opalg import (
+    MAX_WORK,
     FreeExpression,
     Monomial,
     OrderedPolynomial,
@@ -35,8 +32,11 @@ from weylkit.opalg import (
     ScalarNode,
     SumNode,
     SymbolNode,
+    _coefficient_bits,
     _power,
+    _power_work,
     _product,
+    _product_work,
     collect,
     rewrite_to_pq,
 )
@@ -684,7 +684,7 @@ def test_block_work_bound_refuses_before_multiplying(monkeypatch):
     ):
         with pytest.raises(ParseError) as err:
             parse(text)
-        assert str(MAX_BLOCK_WORK) in err.value.message
+        assert str(MAX_WORK) in err.value.message
         assert err.value.span == (caret, caret + 1)
     # One scalar and one term with a unit coefficient do no work, and
     # zero to any power is raised at once.
@@ -692,7 +692,7 @@ def test_block_work_bound_refuses_before_multiplying(monkeypatch):
     assert parse("pq{(Q - Q)^1000000000 + 0^0}").terms == {Monomial(0, 0): ONE}
     # The work of one block adds up over its products, and each block
     # has its own bound.
-    monkeypatch.setattr(exprio, "MAX_BLOCK_WORK", 3 * _product_work(
+    monkeypatch.setattr(opalg, "MAX_WORK", 3 * _product_work(
         {(1, 0): ONE, (0, 1): ONE}, {(1, 0): ONE, (0, 1): ONE}
     ))
     parse("pq{(Q+P)*(Q+P)} + qp{(Q+P)*(Q+P)}")
@@ -705,7 +705,7 @@ def test_block_work_bound_refuses_before_multiplying(monkeypatch):
         parse("pq{(Q+P)" + "*Q" * 13 + "}")
     assert err.value.span == (32, 33)
     help_text = " ".join(cli.build_parser().format_help().split())
-    assert f"at most {exprio.MAX_BLOCK_WORK} coefficient products" in help_text
+    assert f"at most {opalg.MAX_WORK} coefficient products" in help_text
 
 
 def _largest(terms: dict) -> int:

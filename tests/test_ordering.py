@@ -1,5 +1,9 @@
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit.exactnum import ExactScalar, I, MINUS_I, ONE
@@ -294,3 +298,78 @@ def test_convert_word_polynomials_matches_rewriting(p):
     else:
         target, rewrite = Ordering.PQ, rewrite_to_pq
     assert conv.convert(p, target).terms == rewrite(to_expression(p)).terms
+
+
+FACTORS = (I, MINUS_I, I_HALF, -I_HALF)
+
+
+def _factorial_conversion_terms(m, r, factor):
+    """The conversion family term by term from l! C(m,l) C(r,l), as the
+    generator computed it before its ratio recurrence."""
+    out, power = [((m, r), ONE)], ONE
+    for l in range(1, min(m, r) + 1):
+        power = power * factor
+        count = math.factorial(l) * math.comb(m, l) * math.comb(r, l)
+        out.append(((m - l, r - l), count * power))
+    return out
+
+
+def test_conversion_recurrence_matches_the_factorial_formula(monkeypatch):
+    cases = list(itertools.product(range(41), range(41), FACTORS))
+    expected = [_factorial_conversion_terms(*case) for case in cases]
+    # The generator builds each coefficient from the one before it.
+    for name in ("factorial", "comb"):
+        monkeypatch.setattr(math, name, None)
+    for case, want in zip(cases, expected):
+        assert list(opalg._conversion_terms(*case)) == want, case
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 400), st.integers(0, 400), st.sampled_from(FACTORS))
+def test_conversion_recurrence_matches_the_factorial_formula_far_out(m, r, factor):
+    assert list(opalg._conversion_terms(m, r, factor)) == _factorial_conversion_terms(
+        m, r, factor
+    )
+
+
+def _bits(c) -> int:
+    """Bits of the largest numerator component of ``c`` plus bits of its
+    denominator, each as the floor of its log2."""
+    *components, den = c.canonical
+    return max(abs(n) for n in components).bit_length() - 1 + den.bit_length() - 1
+
+
+conversion_inputs = st.dictionaries(
+    st.tuples(st.integers(0, 60), st.integers(0, 60))
+    | st.tuples(st.integers(0, 3000), st.integers(0, 4)),
+    st.builds(
+        lambda parts, d: ExactScalar(*(Fraction(n, d) for n in parts)),
+        st.tuples(*[st.integers(-99, 99)] * 4),
+        st.integers(1, 12),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(conversion_inputs, st.sampled_from(list(Ordering)), st.sampled_from(list(Ordering)))
+@settings(max_examples=200, deadline=None)
+@example({(400, 400): ONE}, Ordering.WEYL, Ordering.PQ)
+@example({(1, 1): ExactScalar(Fraction(-3, 7))}, Ordering.QP, Ordering.PQ)
+@example({(2000000, 1): ONE, (3, 2000): ONE}, Ordering.PQ, Ordering.QP)
+def test_conversion_work_bounds_the_coefficient_products(terms, source, target):
+    # Per input term, each of its k + 1 coefficient products has at most
+    # the bits its work counts, and the work of a sum is at least the sum
+    # of its terms' work.  A conversion to its own tag does nothing.
+    poly = OrderedPolynomial.from_terms(source, terms.items())
+    if source is target:
+        assert opalg._conversion_work(poly, target) == 0
+        return
+    factor, total = conv._FACTORS[source, target], 0
+    for (m, r), c in poly.terms.items():
+        work = opalg._conversion_work(OrderedPolynomial(source, {(m, r): c}), target)
+        products = [n * c for _, n in opalg._conversion_terms(m, r, factor)]
+        bits = max(1, *map(_bits, products))
+        assert len(products) * opalg._bit_work(bits) <= work
+        total += work
+    assert opalg._conversion_work(poly, target) >= total
