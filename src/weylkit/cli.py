@@ -39,10 +39,10 @@ MAX_DIM_GUARD = 128
 # by more than 1e-6.  Every check passes from 14 up.
 MIN_DIM_GUARD = 14
 # Bounds on a bare expression before the rewriting oracle expands it.
-# Rewriting one word of n symbols costs at most about 4e-7 * n**3 s
-# (in-process, 2-core x86-64, Python 3.11) for n = 8..160: Q^64*P^64
-# takes 0.75 s and Q^80*P^80 1.6 s.  Words that share intermediate
-# words cost far less together: the 2048 words of (P+Q)^11 take 0.018 s.
+# Rewriting one word of n symbols costs at most about 5e-7 * n**3 s
+# (in-process, 2-core x86-64, Python 3.11) for n = 16..160: Q^64*P^64
+# takes 0.92 s and Q^80*P^80 2.1 s.  Words that share intermediate
+# words cost far less together: the 2048 words of (P+Q)^11 take 0.02 s.
 # So the estimate words * longest**3 is capped at 2**22 (at most about
 # 2 s), and the longest word at 128 symbols.
 MAX_WORD_SYMBOLS = 128
@@ -338,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
         "convert, commutator and expand exit 2 on inputs beyond these "
         f"bounds: {_EXPANSION_BOUNDS}; an ordering block's products and "
         "powers, and a conversion between orderings, may do at most "
-        f"{opalg.MAX_WORK} coefficient products times coefficient bits (bits "
-        "squared over 2^16 past 2^16 bits), bounded before each is made; "
+        f"{opalg.MAX_WORK} coefficient products times coefficient bits (past "
+        "2^16 bits, times the bits over 2^16, or in a conversion the shorter "
+        "operand's bits over 2^16), bounded before each is made; "
         "parentheses and unary minus nest "
         f"at most {exprio.MAX_NESTING} levels deep; an integer, in the "
         "input or the result, has at most Python's int/str digit limit "

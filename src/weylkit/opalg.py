@@ -22,12 +22,12 @@ symbol alphabet and applies adjacent-pair rules to exhaustion,
 Each swap strictly reduces the number of out-of-order pairs, so the
 process terminates; confluence makes the normal form independent of the
 scan strategy.  The rule is applied one pair at a time, at the leftmost
-out-of-order pair, but each intermediate word is normal-ordered once
-per call: one memo, made by the call and dropped when it returns, is
-shared by every word of the expansion.  Powers of the correction are
-counted as integer path counts, which are summed across words before
-any exact product, so the cost is polynomial in the word length.  The
-oracle is the ground truth that every closed form is tested against.
+out-of-order pair, but each intermediate word is reduced once per call
+to its integer path counts by the number of contractions: one memo,
+made by the call and dropped on return, serves every word.  Counts are
+summed across words before any exact product, so the cost is
+polynomial in the word length.  The oracle is the ground truth that
+every closed form is tested against.
 
 :func:`collect` is the package's single sparse-sum core.  All values are
 immutable and the operations are pure.
@@ -115,7 +115,9 @@ def _conversion_terms(
 
 def _conversion_work(poly: OrderedPolynomial, target: Ordering) -> int:
     """The work of converting ``poly`` to ``target``: per term Q^m P^r, k + 1
-    products of a coefficient by l! C(m,l) C(r,l), over 2^l if f = +-i/2."""
+    products of a ``bits``-bit coefficient by a ``count``-bit l! C(m,l)
+    C(r,l), over 2^l if f = +-i/2, each charged bits + count, times
+    min(bits, count) / 2**16 past 2**16."""
     if poly.ordering is target:
         return 0
     half = Ordering.WEYL in (poly.ordering, target)
@@ -123,8 +125,8 @@ def _conversion_work(poly: OrderedPolynomial, target: Ordering) -> int:
     for m, r in poly.terms:
         k = min(m, r)  # l! C(m,l) C(r,l) <= min(2^(m+r) k!, (mr)^k) for l <= k
         count = min(m + r + math.ceil(math.lgamma(k + 1) / math.log(2)),
-                    k * (m * r).bit_length())
-        work += (k + 1) * _bit_work(bits + count + (k if half else 0))
+                    k * (m * r).bit_length()) + (k if half else 0)
+        work += (k + 1) * (bits + count) * max(1, min(bits, count) >> 16)
     return work
 
 
@@ -495,81 +497,62 @@ def _evaluate(tree: FreeExpression, leaves: Mapping, f: ExactScalar) -> dict:
 
 
 def _rewrite_word(
-    word: Word,
-    left: Symbol,
-    right: Symbol,
-    correction: ExactScalar,
-    memo: dict[str, tuple[list[int], int]],
-) -> tuple[dict[tuple[int, int], ExactScalar], int]:
-    """Normal-order one word so every `left` stands left of every `right`.
-
-    The rule  right*left -> left*right + correction  is applied at the
-    leftmost out-of-order pair until none remains.  Also returns the
-    longest chain of rule applications: each application removes an
-    inversion from the word it rewrites, so chains are bounded by the
-    inversion count and never exceed len(word)**2.
-
-    ``memo`` belongs to the calling rewrite and lasts one call: it maps
-    each intermediate word, normal-ordered once, to its integer path
-    counts by the number k of contractions and its longest chain.  A word
-    of R `right`s and L `left`s reaches key (#right, #left) = (R - k,
-    L - k) with coefficient count * correction**k; across the words of
-    one call the counts are summed as integers before any exact product.
-    """
-    terms, longest_chain = _rewrite_words(((word, ONE),), left, right, correction, memo)
-    return dict(terms), longest_chain
+    word: Word, left: Symbol, right: Symbol, correction: ExactScalar
+) -> dict[tuple[int, int], ExactScalar]:
+    """Normal-order one word so every `left` stands left of every `right`:
+    the rule  right*left -> left*right + correction  is applied at the
+    leftmost out-of-order pair until none remains.  Terms are keyed
+    (#right, #left)."""
+    return dict(_rewrite_words(((word, ONE),), left, right, correction))
 
 
 def _rewrite_words(
-    pairs: Iterable[tuple[Word, ExactScalar]],
-    left: Symbol,
-    right: Symbol,
+    pairs: Iterable[tuple[Word, ExactScalar]], left: Symbol, right: Symbol,
     correction: ExactScalar,
-    memo: dict[str, tuple[list[int], int]],
-) -> tuple[list[tuple[tuple[int, int], ExactScalar]], int]:
-    """:func:`_rewrite_word` over a linear combination of words, sharing
-    ``memo``: uncollected terms keyed (#right, #left), and the longest
-    chain.  Counts are summed by word coefficient, key and k, and each
-    group becomes coeff * (count * correction**k) once."""
+) -> list[tuple[tuple[int, int], ExactScalar]]:
+    """:func:`_rewrite_word` over a linear combination of words, as
+    uncollected terms keyed (#right, #left).
+
+    One memo, made here and dropped on return, maps each intermediate
+    word to its list of integer path counts by the number k of
+    contractions: a word of R `right`s and L `left`s reaches key (R - k,
+    L - k) count times, times correction**k.  Counts are summed by word
+    coefficient, key and k, and each group becomes coeff * (count *
+    correction**k) once."""
+    letters = {left: "l", right: "r"}
+    memo: dict[str, list[int]] = {}
     # coefficient -> (key, k) -> count: one scalar hash per word.
     groups: dict[ExactScalar, dict[tuple[tuple[int, int], int], int]] = {}
-    longest_chain = 0
     for word, coeff in pairs:
-        for sym in word:
-            if sym is not left and sym is not right:
-                raise UnsupportedSymbolError(
-                    f"symbol {sym.value!r} not supported by this rewrite"
-                )
-        # One character per symbol: "l" for `left`, "r" for `right`.
-        text = "".join("l" if sym is left else "r" for sym in word)
-        counts, chain = _path_counts(text.lstrip("l").rstrip("r"), memo)
-        longest_chain = max(longest_chain, chain)
+        try:
+            text = "".join(map(letters.__getitem__, word))
+        except KeyError as err:
+            raise UnsupportedSymbolError(
+                f"symbol {err.args[0].value!r} not supported by this rewrite"
+            ) from None
         n_right = text.count("r")
         n_left = len(text) - n_right
         group = groups.setdefault(coeff, {})
-        for k, n in enumerate(counts):
+        for k, n in enumerate(_path_counts(text.lstrip("l").rstrip("r"), memo)):
             key = ((n_right - k, n_left - k), k)
             group[key] = group.get(key, 0) + n
-    powers = [ONE]
-    terms = []
+    powers, terms = [ONE], []
     for coeff, group in groups.items():
         for (key, k), n in group.items():
             while len(powers) <= k:
                 powers.append(powers[-1] * correction)
             c = n * powers[k]  # an int scale: 4 products, not 16
             terms.append((key, coeff * c))
-    return terms, longest_chain
+    return terms
 
 
-def _path_counts(
-    core: str, memo: dict[str, tuple[list[int], int]]
-) -> tuple[list[int], int]:
-    """(path counts by k, longest chain) of an "l"/"r" word without leading
-    "l"s or trailing "r"s: no rule reaches those, so the memo keys words
-    without them.  Walked with an explicit stack, not recursion: a word is
-    pushed again, as (word, swapped, contracted), under its two rewrites,
-    and combined once both are in the memo."""
-    memo.setdefault("", ([1], 0))
+def _path_counts(core: str, memo: dict[str, list[int]]) -> list[int]:
+    """Path counts by k of an "l"/"r" word without leading "l"s or trailing
+    "r"s: no rule reaches those, so the memo keys words without them.
+    Walked with an explicit stack, not recursion: a word is pushed again,
+    as (word, swapped, contracted), under its two rewrites, and combined
+    once both are in the memo."""
+    memo.setdefault("", [1])
     stack: list = [core]
     while stack:
         current = stack.pop()
@@ -578,10 +561,8 @@ def _path_counts(
             # A swap keeps k and a contraction adds one.  A swap never
             # allows more contractions than the word itself, so
             # len(s) <= len(t) + 1.
-            s, swapped_chain = memo[swapped]
-            t, contracted_chain = memo[contracted]
-            counts = [s[0], *map(operator.add, s[1:], t), *t[len(s) - 1 :]]
-            memo[current] = (counts, 1 + max(swapped_chain, contracted_chain))
+            s, t = memo[swapped], memo[contracted]
+            memo[current] = [s[0], *map(operator.add, s[1:], t), *t[len(s) - 1 :]]
         elif current not in memo:
             pos = current.find("rl")
             swapped = (current[:pos] + "lr" + current[pos + 2 :]).lstrip("l").rstrip("r")
@@ -591,29 +572,23 @@ def _path_counts(
     return memo[core]
 
 
-def _rewrite_expression(
-    e: FreeExpression, target: Ordering
-) -> tuple[OrderedPolynomial, int]:
+def _rewrite_expression(e: FreeExpression, target: Ordering) -> OrderedPolynomial:
+    # Terms come back keyed (#right, #left): (#Q, #P) = (m, r) for P-Q.
     if target is Ordering.PQ:
-        left, right, correction = Symbol.P, Symbol.Q, I
-        key_of = lambda counts: counts  # (m, r) = (#Q, #P)
-    else:
-        left, right, correction = Symbol.Q, Symbol.P, MINUS_I
-        key_of = lambda counts: (counts[1], counts[0])
-    # One memo per call: nothing outlives it.
-    terms, longest_chain = _rewrite_words(e.expand().items(), left, right, correction, {})
-    poly = OrderedPolynomial.from_terms(target, ((key_of(key), c) for key, c in terms))
-    return poly, longest_chain
+        terms = _rewrite_words(e.expand().items(), Symbol.P, Symbol.Q, I)
+        return OrderedPolynomial.from_terms(target, terms)
+    terms = _rewrite_words(e.expand().items(), Symbol.Q, Symbol.P, MINUS_I)
+    return OrderedPolynomial.from_terms(target, (((m, r), c) for (r, m), c in terms))
 
 
 def rewrite_to_pq(e: FreeExpression) -> OrderedPolynomial:
     """Canonical P-Q form of an expression over {Q, P, scalars}."""
-    return _rewrite_expression(e, Ordering.PQ)[0]
+    return _rewrite_expression(e, Ordering.PQ)
 
 
 def rewrite_to_qp(e: FreeExpression) -> OrderedPolynomial:
     """Canonical Q-P form of an expression over {Q, P, scalars}."""
-    return _rewrite_expression(e, Ordering.QP)[0]
+    return _rewrite_expression(e, Ordering.QP)
 
 
 # Ladder terms are keyed (j, k) = (a+)^j a^k, and a a+ = a+ a + 1.

@@ -90,6 +90,9 @@ def test_convert_parse_error_json(capsys, schema):
 def test_convert_rejects_ladder_symbols(capsys):
     code, _, err = run(capsys, "convert", "a*adag", "--to", "pq")
     assert code == 2
+    code, out, err = run(capsys, "convert", "Q*a", "--to", "pq")
+    assert (code, out) == (2, "")
+    assert err == "symbol 'a' not supported by this rewrite\n"
 
 
 @pytest.mark.parametrize(
@@ -270,6 +273,15 @@ def test_conversion_bound_accepts_long_monomials_with_short_coefficients(capsys)
     code, out, _ = run(capsys, "convert", "pq{Q^2000000*P^2}", "--to", "qp")
     want = "Q^2000000*P^2 + -4000000*i*Q^1999999*P + -3999998000000*Q^1999998\n"
     assert (code, out) == (0, want)
+
+
+def test_conversion_charges_a_long_coefficient_by_a_short_count():
+    # Each product multiplies the coefficient by an integer of one bit, so
+    # it costs time linear in their bits, however long the coefficient.
+    block = exprio.parse("pq{3^1000000*Q*P}")
+    bits = opalg._coefficient_bits(block.terms)
+    assert bits > 2**20
+    assert opalg._conversion_work(block, Ordering.QP) == 2 * (bits + 1) <= opalg.MAX_WORK
 
 
 def test_expansion_bounds_accept_their_edges(capsys):

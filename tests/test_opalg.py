@@ -72,10 +72,16 @@ def test_rewrite_to_qp_examples():
 
 
 def test_rewrite_rejects_ladder_symbols():
-    with pytest.raises(UnsupportedSymbolError):
+    # The message names the first symbol outside the rewrite's alphabet.
+    with pytest.raises(UnsupportedSymbolError) as err:
         rewrite_to_pq(A * Q)
-    with pytest.raises(UnsupportedSymbolError):
+    assert str(err.value) == "symbol 'a' not supported by this rewrite"
+    with pytest.raises(UnsupportedSymbolError) as err:
         rewrite_to_qp(ADAG)
+    assert str(err.value) == "symbol 'adag' not supported by this rewrite"
+    with pytest.raises(UnsupportedSymbolError) as err:
+        _rewrite_word((Symbol.A, Symbol.Q, Symbol.ADAG), Symbol.ADAG, Symbol.A, ONE)
+    assert str(err.value) == "symbol 'Q' not supported by this rewrite"
 
 
 def test_substitute_ladder_examples():
@@ -150,14 +156,6 @@ def test_ladder_consistency():
         assert back.terms == rewrite_to_pq(expr).terms, word
 
 
-def test_termination_bound():
-    # Every chain of rule applications removes inversions one at a time,
-    # so no chain is longer than L^2.
-    for word in all_words(8):
-        _, longest_chain = _rewrite_word(word, Symbol.P, Symbol.Q, I, {})
-        assert longest_chain <= max(1, len(word)) ** 2
-
-
 def _reference_rewrite_word(word, left, right, correction):
     # Rule at a time, no reuse: every branch is walked on its own and its
     # coefficient multiplied by the correction at each contraction.
@@ -188,7 +186,7 @@ def _reference_rewrite_word(word, left, right, correction):
     return out, longest_chain
 
 
-@pytest.mark.parametrize(
+_ALPHABETS = pytest.mark.parametrize(
     "left, right, correction",
     [
         (Symbol.P, Symbol.Q, I),
@@ -197,12 +195,26 @@ def _reference_rewrite_word(word, left, right, correction):
     ],
     ids=["pq", "qp", "ladder"],
 )
+
+
+@_ALPHABETS
 def test_rewrite_word_matches_rule_at_a_time_reference(left, right, correction):
     for word in all_words(8, alphabet=(left, right)):
-        got, got_chain = _rewrite_word(word, left, right, correction, {})
-        want, want_chain = _reference_rewrite_word(word, left, right, correction)
-        assert got == want, word
-        assert got_chain == want_chain, word
+        want, _ = _reference_rewrite_word(word, left, right, correction)
+        assert _rewrite_word(word, left, right, correction) == want, word
+
+
+@_ALPHABETS
+def test_longest_chain_is_the_inversion_count(left, right, correction):
+    # A swap removes one inversion (a `right` before a `left`) and a
+    # contraction at least one, so the longest chain of rule applications
+    # swaps only: its length is the word's inversion count, which bounds
+    # every chain without walking any.
+    for word in all_words(10, alphabet=(left, right)):
+        inversions = sum(
+            a is right and b is left for a, b in itertools.combinations(word, 2)
+        )
+        assert _reference_rewrite_word(word, left, right, correction)[1] == inversions, word
 
 
 _TARGETS = {
@@ -234,20 +246,18 @@ _C2 = ExactScalar(Fraction(-5, 7), 2)
 def test_one_memo_for_all_words_matches_rewriting_each_word(expr, target):
     # One call shares its memo across the words and sums integer counts
     # before any exact product; the result is the sum over the words of
-    # the rule-at-a-time reference, and the longest chain their maximum.
+    # the rule-at-a-time reference.
     left, right, correction = _TARGETS[target]
     swap = target is Ordering.QP
-    want_pairs, want_chain = [], 0
+    want_pairs = []
     for word, coeff in expr.expand().items():
-        word_terms, chain = _reference_rewrite_word(word, left, right, correction)
-        want_chain = max(want_chain, chain)
+        word_terms, _ = _reference_rewrite_word(word, left, right, correction)
         want_pairs += [(key[::-1] if swap else key, coeff * c) for key, c in word_terms.items()]
     want = collect(want_pairs)
     for _ in range(2):  # the same expression twice in a row
-        got, got_chain = _rewrite_expression(expr, target)
+        got = _rewrite_expression(expr, target)
         assert got.ordering is target
         assert terms(got) == want
-        assert got_chain == want_chain
 
 
 def test_each_rewriting_call_walks_with_a_fresh_memo(monkeypatch):
@@ -357,7 +367,7 @@ def _word_node(word):
 
 def test_normal_order_matches_rewriting_on_every_word():
     for word in all_words(8, alphabet=(Symbol.A, Symbol.ADAG)):
-        want, _ = _rewrite_word(word, Symbol.ADAG, Symbol.A, ONE, {})
+        want = _rewrite_word(word, Symbol.ADAG, Symbol.A, ONE)
         # _rewrite_word keys (#a, #a+); ladder terms are keyed (#a+, #a).
         want = {(n_adag, n_a): c for (n_a, n_adag), c in want.items()}
         assert normal_order(_word_node(word)).terms == want, word

@@ -358,9 +358,10 @@ conversion_inputs = st.dictionaries(
 @example({(1, 1): ExactScalar(Fraction(-3, 7))}, Ordering.QP, Ordering.PQ)
 @example({(2000000, 1): ONE, (3, 2000): ONE}, Ordering.PQ, Ordering.QP)
 def test_conversion_work_bounds_the_coefficient_products(terms, source, target):
-    # Per input term, each of its k + 1 coefficient products has at most
-    # the bits its work counts, and the work of a sum is at least the sum
-    # of its terms' work.  A conversion to its own tag does nothing.
+    # Per input term, each of its k + 1 coefficient products is charged at
+    # least its bits, times the shorter operand's bits / 2**16 past 2**16,
+    # and the work of a sum is at least the sum of its terms' work.  A
+    # conversion to its own tag does nothing.
     poly = OrderedPolynomial.from_terms(source, terms.items())
     if source is target:
         assert opalg._conversion_work(poly, target) == 0
@@ -368,8 +369,9 @@ def test_conversion_work_bounds_the_coefficient_products(terms, source, target):
     factor, total = conv._FACTORS[source, target], 0
     for (m, r), c in poly.terms.items():
         work = opalg._conversion_work(OrderedPolynomial(source, {(m, r): c}), target)
-        products = [n * c for _, n in opalg._conversion_terms(m, r, factor)]
-        bits = max(1, *map(_bits, products))
-        assert len(products) * opalg._bit_work(bits) <= work
+        factors = [n for _, n in opalg._conversion_terms(m, r, factor)]
+        bits = max(1, *(_bits(n * c) for n in factors))
+        shorter = min(_bits(c), max(map(_bits, factors)))
+        assert len(factors) * bits * max(1, shorter >> 16) <= work
         total += work
     assert opalg._conversion_work(poly, target) >= total

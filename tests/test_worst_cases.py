@@ -20,7 +20,8 @@ TABLE = json.loads((Path(__file__).with_name("worst_cases.json")).read_text())
 # wait4 usage as one JSON line.
 _LAUNCHER = """
 import json, os, resource, subprocess, sys
-argv, cpu_limit_s, out, err = json.loads(sys.argv[1]), int(sys.argv[2]), sys.argv[3], sys.argv[4]
+flags, argv = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+cpu_limit_s, out, err = int(sys.argv[3]), sys.argv[4], sys.argv[5]
 
 def limit():
     # SIGXCPU ends a runaway child soon after it passes its budget.
@@ -28,8 +29,9 @@ def limit():
 
 # Files, not pipes: a child blocked on a full pipe would never exit.
 with open(out, "wb") as stdout, open(err, "wb") as stderr:
-    proc = subprocess.Popen([sys.executable, "-m", "weylkit.cli", *argv], stdin=subprocess.DEVNULL,
-                            stdout=stdout, stderr=stderr, preexec_fn=limit)
+    proc = subprocess.Popen([sys.executable, *flags, "-m", "weylkit.cli", *argv],
+                            stdin=subprocess.DEVNULL, stdout=stdout, stderr=stderr,
+                            preexec_fn=limit)
     _, status, usage = os.wait4(proc.pid, 0)
 print(json.dumps({"exit": os.waitstatus_to_exitcode(status),
                   "cpu_s": usage.ru_utime + usage.ru_stime,
@@ -37,12 +39,12 @@ print(json.dumps({"exit": os.waitstatus_to_exitcode(status),
 """
 
 
-def _run(argv, cpu_limit_s, tmp_path):
+def _run(flags, argv, cpu_limit_s, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(weylkit.__file__).resolve().parents[1])
     err = tmp_path / "stderr"
     launched = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, json.dumps(argv), str(cpu_limit_s),
+        [sys.executable, "-c", _LAUNCHER, json.dumps(flags), json.dumps(argv), str(cpu_limit_s),
          str(tmp_path / "stdout"), str(err)],
         env=env, capture_output=True, text=True, check=True,
     )
@@ -51,13 +53,15 @@ def _run(argv, cpu_limit_s, tmp_path):
 
 def _row_id(row):
     # Long arguments (a 5000-digit literal) are named by their length.
-    return " ".join(a if len(a) <= 40 else f"{a[:8]}...({len(a)} chars)" for a in row["argv"])
+    args = [*row.get("python_flags", ()), *row["argv"]]
+    return " ".join(a if len(a) <= 40 else f"{a[:8]}...({len(a)} chars)" for a in args)
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 @pytest.mark.parametrize("row", TABLE["rows"], ids=_row_id)
 def test_worst_case_row_meets_its_budget(row, tmp_path):
-    got, stderr = _run(row["argv"], math.ceil(row["cpu_budget_s"]) + 1, tmp_path)
+    cpu_limit_s = math.ceil(row["cpu_budget_s"]) + 1
+    got, stderr = _run(row.get("python_flags", []), row["argv"], cpu_limit_s, tmp_path)
     assert got["exit"] == row["exit"], stderr[-500:]
     assert (stderr.strip() != "") == (row["exit"] == 2), stderr[-500:]
     assert got["cpu_s"] <= row["cpu_budget_s"], f"{got['cpu_s']:.2f} s CPU"
