@@ -41,7 +41,7 @@ MIN_DIM_GUARD = 14
 # Bounds on a bare expression before the rewriting oracle expands it.
 # Rewriting one word of n symbols costs at most about 5e-7 * n**3 s
 # (in-process, 2-core x86-64, Python 3.11) for n = 16..160: Q^64*P^64
-# takes 0.92 s and Q^80*P^80 2.1 s.  Words that share intermediate
+# takes 0.7-0.8 s and Q^80*P^80 1.3-1.7 s.  Words that share intermediate
 # words cost far less together: the 2048 words of (P+Q)^11 take 0.02 s.
 # So the estimate words * longest**3 is capped at 2**22 (at most about
 # 2 s), and the longest word at 128 symbols.

@@ -69,6 +69,7 @@ from .opalg import (
     Symbol,
     SymbolNode,
     _conversion_work,
+    _monomial,
     _power,
     _power_work,
     _product,
@@ -153,9 +154,8 @@ _TERM_FOLLOW = frozenset(["plus", "minus", "rparen", "rbrace", "eof"])
 _TOKEN = re.compile(
     r"[\s\x1c-\x1f]*(\d+(?:/\d*)?|[A-Za-z]\w*\{?|[^\s\x1c-\x1f]|\Z)", re.ASCII
 )
-# Token(*fields) and Monomial(*key) without their Python-level __new__.
+# Token(*fields) without its Python-level __new__.
 _token = functools.partial(tuple.__new__, Token)
-_monomial = functools.partial(tuple.__new__, Monomial)
 
 
 def max_int_digits() -> int:

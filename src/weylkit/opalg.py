@@ -8,12 +8,14 @@ right*left = left*right + f by the reordering family that
 lives here, and :func:`_power` raises a term dict to a power with it.
 The parser folds ordering-block bodies with both, f = 0, as it reads
 them; :func:`_evaluate` folds them over a parse tree, f = 1 over (a+, a)
-for :func:`normal_order`.  ``_product_work``, ``_power_work`` and
-``_conversion_work`` bound their cost beforehand against ``MAX_WORK``.
+for :func:`normal_order`, a run of one symbol as one power.
+``_product_work``, ``_power_work`` and ``_conversion_work`` bound their
+cost beforehand against ``MAX_WORK``.
 
 The rewriting oracle (:func:`rewrite_to_pq`, :func:`rewrite_to_qp`,
 :func:`commutator`) uses none of it: it expands into words over the
-symbol alphabet and applies adjacent-pair rules to exhaustion,
+symbol alphabet, a run of symbols or a power of one term as one word,
+and applies adjacent-pair rules to exhaustion,
 
     Q P -> P Q + i        (P-Q target)
     P Q -> Q P - i        (Q-P target)
@@ -36,6 +38,7 @@ immutable and the operations are pure.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -78,6 +81,10 @@ class Monomial(NamedTuple):
         return self.m + self.r
 
 
+# Monomial(*key) without NamedTuple's Python-level __new__.
+_monomial = functools.partial(tuple.__new__, Monomial)
+
+
 def collect(pairs: Iterable[tuple[Hashable, ExactScalar]]) -> dict:
     """Sum coefficients by key, dropping keys whose sum is zero.
 
@@ -116,8 +123,8 @@ def _conversion_terms(
 def _conversion_work(poly: OrderedPolynomial, target: Ordering) -> int:
     """The work of converting ``poly`` to ``target``: per term Q^m P^r, k + 1
     products of a ``bits``-bit coefficient by a ``count``-bit l! C(m,l)
-    C(r,l), over 2^l if f = +-i/2, each charged bits + count, times
-    min(bits, count) / 2**16 past 2**16."""
+    C(r,l), over 2^l if f = +-i/2, each charged bits + count (at least
+    1), times min(bits, count) / 2**16 past 2**16."""
     if poly.ordering is target:
         return 0
     half = Ordering.WEYL in (poly.ordering, target)
@@ -126,7 +133,7 @@ def _conversion_work(poly: OrderedPolynomial, target: Ordering) -> int:
         k = min(m, r)  # l! C(m,l) C(r,l) <= min(2^(m+r) k!, (mr)^k) for l <= k
         count = min(m + r + math.ceil(math.lgamma(k + 1) / math.log(2)),
                     k * (m * r).bit_length()) + (k if half else 0)
-        work += (k + 1) * (bits + count) * max(1, min(bits, count) >> 16)
+        work += (k + 1) * max(1, bits + count) * max(1, min(bits, count) >> 16)
     return work
 
 
@@ -258,7 +265,7 @@ class OrderedPolynomial:
         ordering: Ordering,
         terms: Iterable[tuple[tuple[int, int], ExactScalar]],
     ) -> OrderedPolynomial:
-        return cls(ordering, collect((Monomial(*key), c) for key, c in terms))
+        return cls(ordering, collect((_monomial(key), c) for key, c in terms))
 
     @classmethod
     def zero(cls, ordering: Ordering) -> OrderedPolynomial:
@@ -420,20 +427,17 @@ class ProductNode(FreeExpression):
     children: tuple[FreeExpression, ...]
 
     def expand(self) -> dict[Word, ExactScalar]:
+        """Children distributed left to right; a run of symbols is one
+        word, appended to every current word in one pass."""
         out: dict[Word, ExactScalar] = {(): ONE}
-        for child in self.children:
-            rhs = child.expand()
-            if len(rhs) == 1:
-                # Keys w1 + w2 stay distinct and products of nonzero
-                # coefficients are nonzero: the dict collect would build.
-                ((w2, c2),) = rhs.items()
-                out = {w1 + w2: c1 * c2 for w1, c1 in out.items()}
-            else:
-                out = collect(
-                    (w1 + w2, c1 * c2)
-                    for w1, c1 in out.items()
-                    for w2, c2 in rhs.items()
-                )
+        for kind, run in itertools.groupby(self.children, type):
+            if kind is SymbolNode:
+                # From a list: a tuple grown from an iterator fragments memory.
+                tail = tuple([child.symbol for child in run])
+                out = {w + tail: c for w, c in out.items()}
+                continue
+            for child in run:
+                out = _concatenate(out, child.expand())
         return out
 
 
@@ -444,7 +448,24 @@ class PowerNode(FreeExpression):
     exponent: int
 
     def expand(self) -> dict[Word, ExactScalar]:
-        return ProductNode((self.base,) * self.exponent).expand()
+        """The base expanded once: one term is its word repeated, its coefficient
+        raised as :func:`_power` does; more are multiplied in exponent times."""
+        base = self.base.expand()
+        if len(base) == 1:
+            ((word, c),) = base.items()
+            return {word * self.exponent: c if c is ONE else c**self.exponent}
+        out = base if self.exponent else {(): ONE}  # base is the unit times base
+        for _ in range(self.exponent - 1):
+            out = _concatenate(out, base)
+        return out
+
+
+def _concatenate(x: Mapping, y: Mapping) -> dict[Word, ExactScalar]:
+    """The words of x followed by those of y, x outer."""
+    if len(y) == 1:  # distinct keys, nonzero products: the dict collect would build
+        ((w2, c2),) = y.items()
+        return {w1 + w2: c1 * c2 for w1, c1 in x.items()}
+    return collect((w1 + w2, c1 * c2) for w1, c1 in x.items() for w2, c2 in y.items())
 
 
 def _as_expression(value) -> FreeExpression:
@@ -470,8 +491,9 @@ ADAG = SymbolNode(Symbol.ADAG)
 def _evaluate(tree: FreeExpression, leaves: Mapping, f: ExactScalar) -> dict:
     """Terms of ``tree``, each symbol read as its term dict in ``leaves``,
     folded bottom-up and left to right with :func:`_product` and
-    :func:`_power`.  A symbol without a leaf is refused wherever it
-    stands, even under a zero coefficient."""
+    :func:`_power`; a run of one symbol in a product is one power of its
+    leaf, one monomial for a generator.  A symbol without a leaf is
+    refused wherever it stands, even under a zero coefficient."""
     if isinstance(tree, SumNode):
         parts = (_evaluate(child, leaves, f).items() for child in tree.children)
         return collect(pair for part in parts for pair in part)
@@ -484,11 +506,14 @@ def _evaluate(tree: FreeExpression, leaves: Mapping, f: ExactScalar) -> dict:
         return dict(leaves[tree.symbol])
     if isinstance(tree, PowerNode):
         return _power(_evaluate(tree.base, leaves, f), tree.exponent, f)
-    factors = (_evaluate(child, leaves, f) for child in tree.children)
-    out = next(factors, {(0, 0): ONE})  # an empty product is the unit
-    for factor in factors:
-        out = _product(out, factor, f)
-    return out
+    out = None
+    runs = itertools.groupby(tree.children, lambda node: getattr(node, "symbol", None))
+    for symbol, run in runs:
+        run = [*run]
+        for child in run if symbol is None else [PowerNode(run[0], len(run))]:
+            factor = _evaluate(child, leaves, f)
+            out = factor if out is None else _product(out, factor, f)
+    return {(0, 0): ONE} if out is None else out  # an empty product is the unit
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +593,10 @@ def _path_counts(core: str, memo: dict[str, list[int]]) -> list[int]:
             swapped = (current[:pos] + "lr" + current[pos + 2 :]).lstrip("l").rstrip("r")
             contracted = (current[:pos] + current[pos + 2 :]).lstrip("l").rstrip("r")
             stack.append((current, swapped, contracted))
-            stack.extend(w for w in (swapped, contracted) if w not in memo)
+            if swapped not in memo:
+                stack.append(swapped)
+            if contracted not in memo:
+                stack.append(contracted)
     return memo[core]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -175,7 +176,7 @@ def _reference_rewrite_word(word, left, right, correction):
         if pos < 0:
             longest_chain = max(longest_chain, chain)
             key = (current.count(right), current.count(left))
-            total = out.get(key, ExactScalar()) + coeff
+            total = out.get(key, ZERO) + coeff
             if total.is_zero():
                 out.pop(key, None)
             else:
@@ -331,15 +332,27 @@ expression_trees = st.recursive(
         st.sampled_from(_EXPAND_SCALARS).map(ScalarNode),
     ),
     lambda kids: st.one_of(
-        st.lists(kids, max_size=3).map(lambda c: ProductNode(tuple(c))),
+        st.lists(kids, max_size=5).map(lambda c: ProductNode(tuple(c))),
         st.lists(kids, min_size=1, max_size=3).map(lambda c: SumNode(tuple(c))),
-        st.tuples(kids, st.integers(0, 2)).map(lambda t: PowerNode(*t)),
+        st.tuples(kids, st.integers(0, 5)).map(lambda t: PowerNode(*t)),
     ),
     max_leaves=8,
 )
 
 
-@given(expression_trees)
+def _word_bound(e):
+    """At most this many words in the expansion of ``e``."""
+    if isinstance(e, SumNode):
+        return sum(map(_word_bound, e.children))
+    if isinstance(e, ProductNode):
+        return math.prod(map(_word_bound, e.children))
+    if isinstance(e, PowerNode):
+        return _word_bound(e.base) ** e.exponent
+    return 1
+
+
+# Nested powers of sums would reach 2**25 words; keep each example small.
+@given(expression_trees.filter(lambda tree: _word_bound(tree) <= 1024))
 @settings(max_examples=300, deadline=None)
 def test_expand_matches_collecting_every_product(tree):
     got, want = tree.expand(), _reference_expand(tree)
@@ -371,6 +384,57 @@ def test_normal_order_matches_rewriting_on_every_word():
         # _rewrite_word keys (#a, #a+); ladder terms are keyed (#a+, #a).
         want = {(n_adag, n_a): c for (n_a, n_adag), c in want.items()}
         assert normal_order(_word_node(word)).terms == want, word
+
+
+def _run_node(word):
+    # One PowerNode per run of one symbol.
+    return ProductNode(
+        tuple(PowerNode(_NODES[sym], len(list(run))) for sym, run in itertools.groupby(word))
+    )
+
+
+@pytest.mark.parametrize(
+    "left, right, correction, evaluate",
+    [
+        (Symbol.Q, Symbol.P, MINUS_I, lambda e: _evaluate(e, _QP_LEAVES, MINUS_I)),
+        (Symbol.ADAG, Symbol.A, ONE, lambda e: normal_order(e).terms),
+    ],
+    ids=["qp", "ladder"],
+)
+def test_runs_and_powers_build_the_same_word(left, right, correction, evaluate):
+    # A word built one node per symbol and one power per run expands to
+    # that one word, and both forms fold to its rewriting (keyed (#right,
+    # #left), the leaves' terms (#left, #right)).
+    for word in all_words(8, alphabet=(left, right)):
+        want = _rewrite_word(word, left, right, correction)
+        want = {(n_left, n_right): c for (n_right, n_left), c in want.items()}
+        for node in (_word_node(word), _run_node(word)):
+            assert node.expand() == {word: ONE}, word
+            assert evaluate(node) == want, (word, node)
+
+
+def test_power_expands_its_base_once(monkeypatch):
+    calls = []
+    for cls in (SumNode, ProductNode):
+        expand = cls.expand
+
+        def counted(self, expand=expand):
+            calls.append(self)
+            return expand(self)
+
+        monkeypatch.setattr(cls, "expand", counted)
+    for base in (Q + P, scalar(I) * Q * P, Q + P + scalar(2) * Q * Q):
+        calls.clear()
+        PowerNode(base, 5).expand()
+        assert sum(node is base for node in calls) == 1, base
+
+
+def test_power_expansion_edge_cases():
+    assert ((scalar(0) * Q) ** 3).expand() == {}
+    assert ((scalar(0) * Q) ** 0).expand() == {(): ONE}
+    assert ((Q + P) ** 0).expand() == {(): ONE}
+    assert ((scalar(I) * Q * P) ** 5).expand() == {(Symbol.Q, Symbol.P) * 5: I**5}
+    assert ((Q + P) ** 1).expand() == (Q + P).expand()
 
 
 def test_qp_product_matches_rewriting_on_every_word():
@@ -415,7 +479,8 @@ def test_product_edge_cases():
 def test_powers_of_one_commuting_term_are_one_monomial(monkeypatch):
     # A one-term leaf whose factors commute (any term at f = 0, a power of
     # one generator or a scalar at f = 1) is raised without the product;
-    # every power agrees with the product taken e - 1 times.
+    # every power agrees with the product taken e - 1 times.  A run of one
+    # symbol in a product is that power too.
     products = []
 
     def counted(*args):
@@ -434,13 +499,16 @@ def test_powers_of_one_commuting_term_are_one_monomial(monkeypatch):
     for leaf, f, multiplies in cases:
         leaves = {Symbol.Q: leaf}
         for e in range(6):
-            want = _evaluate(ProductNode((Q,) * e), leaves, f)
-            monkeypatch.setattr(opalg, "_product", counted)
-            products.clear()
-            got = _evaluate(PowerNode(Q, e), leaves, f)
-            monkeypatch.undo()
-            assert got == want, (leaf, f, e)
-            assert len(products) == (max(e - 1, 0) if multiplies else 0), (leaf, e)
+            want = dict(leaf) if e else {(0, 0): ONE}
+            for _ in range(e - 1):
+                want = _product(want, leaf, f)
+            for tree in (PowerNode(Q, e), ProductNode((Q,) * e)):
+                monkeypatch.setattr(opalg, "_product", counted)
+                products.clear()
+                got = _evaluate(tree, leaves, f)
+                monkeypatch.undo()
+                assert got == want, (leaf, f, e, tree)
+                assert len(products) == (max(e - 1, 0) if multiplies else 0), (leaf, e, tree)
     assert _evaluate(PowerNode(scalar(I), 10**8), {}, ZERO) == {(0, 0): ONE}
 
 

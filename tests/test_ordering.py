@@ -357,6 +357,7 @@ conversion_inputs = st.dictionaries(
 @example({(400, 400): ONE}, Ordering.WEYL, Ordering.PQ)
 @example({(1, 1): ExactScalar(Fraction(-3, 7))}, Ordering.QP, Ordering.PQ)
 @example({(2000000, 1): ONE, (3, 2000): ONE}, Ordering.PQ, Ordering.QP)
+@example({(0, 0): I}, Ordering.PQ, Ordering.QP)  # a unit: 0 bits, 0 count
 def test_conversion_work_bounds_the_coefficient_products(terms, source, target):
     # Per input term, each of its k + 1 coefficient products is charged at
     # least its bits, times the shorter operand's bits / 2**16 past 2**16,
