@@ -133,7 +133,7 @@ def _to_polynomial(
 def _words(value) -> FreeExpression:
     """A lone block as its P-Q words, its conversion bounded first."""
     block = isinstance(value, OrderedPolynomial)
-    return exprio.as_words(_to_polynomial(value, Ordering.PQ) if block else value)
+    return exprio.as_words(_to_polynomial(value, Ordering.PQ)) if block else value
 
 
 def _emit_polynomial(poly: OrderedPolynomial, as_json: bool) -> int:

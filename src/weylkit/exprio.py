@@ -32,11 +32,13 @@ character, be it a digit, a letter or a space elsewhere in Unicode, is
 an unexpected character.  Token spans are found again only for
 :func:`tokenize` and for an error.
 
-Scalar subexpressions fold as they are parsed, in a block or not.  A
-product whose factors are all scalars, a sum whose parts are all
-scalars and a negated scalar each become one exact value (outside a
-block, one :class:`ScalarNode`), so ``(1 + 1)*Q`` parses to the tree of
-``2*Q``.  Outside a block, powers are not folded.
+The parser has one value model, in a block or not.  A product whose
+factors are all scalars, a sum whose parts are all scalars and a negated
+scalar each fold as they are parsed into one exact value; any other
+value is its terms in a block and a tree outside one.  A scalar becomes
+a :class:`ScalarNode` only when it goes into a tree node or is the whole
+result, so ``(1 + 1)*Q`` parses to the tree of ``2*Q``.  A power is
+never a scalar: in a block it is its terms, outside a :class:`PowerNode`.
 
 Parentheses and unary minus nest at most ``MAX_NESTING`` levels deep,
 and an integer literal may have at most as many digits as Python reads
@@ -68,6 +70,7 @@ from .opalg import (
     SumNode,
     Symbol,
     SymbolNode,
+    _as_expression,
     _conversion_work,
     _monomial,
     _power,
@@ -244,22 +247,9 @@ def tokenize(text: str) -> list[Token]:
     return list(map(_make_token, kinds, _TOKEN.finditer(text)))
 
 
-def _negate(node: FreeExpression) -> FreeExpression:
-    """-node, a scalar folded into its value."""
-    if type(node) is ScalarNode:
-        return ScalarNode(-node.value)
-    return -node
-
-
-def _fold(nodes: list, combine, node_type) -> FreeExpression:
-    """``node_type`` of ``nodes``, or one scalar if every node is one."""
-    if all(type(node) is ScalarNode for node in nodes):
-        return ScalarNode(functools.reduce(combine, [node.value for node in nodes]))
-    return node_type(tuple(nodes))
-
-
 # ---------------------------------------------------------------------------
-# Block values: an exact scalar, or a dict of terms keyed (m, r)
+# Parse values: an exact scalar, or else a dict of terms keyed (m, r) in a
+# block and a tree outside one
 # ---------------------------------------------------------------------------
 
 
@@ -270,16 +260,21 @@ def _terms(value) -> dict:
     return {} if value.is_zero() else {(0, 0): value}
 
 
-def _block_sum(parts: list):
+def _negate(value):
+    """-value: a scalar or a block's terms negated, a tree wrapped."""
+    if value.__class__ is dict:
+        return {key: -c for key, c in value.items()}
+    return -value
+
+
+def _scalar_fold(parts: list, combine, node_type):
+    """``parts`` combined into one scalar if every part is one; else a
+    block's terms summed (``node_type`` None) or one ``node_type`` node."""
     if all(part.__class__ is ExactScalar for part in parts):
-        return functools.reduce(operator.add, parts)
-    return collect(pair for part in parts for pair in _terms(part).items())
-
-
-def _block_negate(value):
-    if value.__class__ is ExactScalar:
-        return -value
-    return {key: -c for key, c in value.items()}
+        return functools.reduce(combine, parts)
+    if node_type is None:
+        return collect(pair for part in parts for pair in _terms(part).items())
+    return node_type(tuple(map(_as_expression, parts)))
 
 
 class _Parser:
@@ -351,11 +346,10 @@ class _Parser:
         kind = kinds[self.pos]
         if kind == "minus":
             self.pos += 1
-        negate = _block_negate if self.in_block else _negate
         parts = []
         while True:
             term = self.parse_term()
-            parts.append(negate(term) if kind == "minus" else term)
+            parts.append(_negate(term) if kind == "minus" else term)
             # parse_term checked that a '+', '-' or an end follows.
             kind = kinds[self.pos]
             if kind != "plus" and kind != "minus":
@@ -363,9 +357,7 @@ class _Parser:
             self.pos += 1
         if len(parts) == 1:
             return parts[0]
-        if self.in_block:
-            return _block_sum(parts)
-        return _fold(parts, operator.add, SumNode)
+        return _scalar_fold(parts, operator.add, None if self.in_block else SumNode)
 
     def parse_term(self):
         kinds = self.kinds
@@ -382,7 +374,7 @@ class _Parser:
                 while kinds[self.pos] == "star":
                     self.pos += 1
                     factors.append(self.parse_unary())
-                value = _fold(factors, operator.mul, ProductNode)
+                value = _scalar_fold(factors, operator.mul, ProductNode)
         if kinds[self.pos] not in _TERM_FOLLOW:
             self.fail_junk(self.pos)
         return value
@@ -401,8 +393,7 @@ class _Parser:
         kind = self.kinds[pos]
         if kind == "minus":
             self.pos = pos + 1
-            value = self.nested(pos, self.parse_unary)
-            return _block_negate(value) if self.in_block else _negate(value)
+            return _negate(self.nested(pos, self.parse_unary))
         base = self.parse_primary(pos, kind)
         caret = self.pos
         if self.kinds[caret] != "caret":
@@ -410,7 +401,7 @@ class _Parser:
         self.pos = caret + 1
         exponent = int(self.expect("int"))
         if not self.in_block:
-            return PowerNode(base, exponent)
+            return PowerNode(_as_expression(base), exponent)
         base = _terms(base)
         self.charge(_power_work(base, exponent), caret)
         return _power(base, exponent, ZERO)
@@ -459,7 +450,7 @@ class _Parser:
                     else ["scalar", "symbol", "(", "pq{", "qp{", "weyl{"]
                 ),
             )
-        return value if self.in_block else ScalarNode(value)
+        return value
 
     def parse_block(self, pos: int):
         if self.in_block:
@@ -477,7 +468,8 @@ class _Parser:
         if pos == 0 and self.kinds[self.pos] == "eof":
             return block
         self.charge(_conversion_work(block, Ordering.PQ), pos)
-        return as_words(block)
+        # A zero block is the scalar 0, as its words are.
+        return ZERO if block.is_zero() else as_words(block)
 
 
 def parse(text: str) -> FreeExpression | OrderedPolynomial:
@@ -487,14 +479,12 @@ def parse(text: str) -> FreeExpression | OrderedPolynomial:
     parser = _Parser(text)
     value = parser.parse_expr()
     parser.expect("eof")
-    return value
+    return ScalarNode(value) if value.__class__ is ExactScalar else value
 
 
-def as_words(value: FreeExpression | OrderedPolynomial) -> FreeExpression:
-    """``value`` as a bare expression: a block becomes its P-Q words."""
-    if isinstance(value, OrderedPolynomial):
-        return to_expression(_conv.convert(value, Ordering.PQ))
-    return value
+def as_words(block: OrderedPolynomial) -> FreeExpression:
+    """A block as a bare expression: its P-Q words."""
+    return to_expression(_conv.convert(block, Ordering.PQ))
 
 
 # ---------------------------------------------------------------------------

@@ -108,11 +108,9 @@ def _conversion_terms(
 ) -> Iterator[tuple[tuple[int, int], ExactScalar]]:
     """((m-l, r-l), factor^l l! C(m,l) C(r,l)) for l = 0..min(m,r): right^m
     left^r as left^(r-l) right^(m-l), keyed (#right, #left), when
-    right*left = left*right + factor.  The l = 0 coefficient is ``ONE``
-    itself, and a zero factor yields it alone: no scalar products."""
+    right*left = left*right + factor, ``factor`` nonzero.  The l = 0
+    coefficient is ``ONE`` itself."""
     yield (m, r), ONE
-    if factor.is_zero():
-        return
     power, count = ONE, 1
     for l in range(1, min(m, r) + 1):
         power = power * factor

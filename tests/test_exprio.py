@@ -203,6 +203,49 @@ def test_scalar_subexpressions_fold_as_they_parse():
     assert term.children[0] == coeff
 
 
+def _int(n: int) -> ScalarNode:
+    return ScalarNode(ExactScalar.from_int(n))
+
+
+def _words(text: str) -> FreeExpression:
+    return opalg.to_expression(conv.convert(parse(text), Ordering.PQ))
+
+
+_Q, _P = SymbolNode(opalg.Symbol.Q), SymbolNode(opalg.Symbol.P)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # Bare: scalars fold, and become nodes only inside a tree.
+        # A leading '-' negates the whole term, a nested one its factor.
+        ("-(2)*Q", ProductNode((_int(-1), ProductNode((_int(2), _Q))))),
+        ("Q*-(2)", ProductNode((_Q, _int(-2)))),
+        ("Q*(1+1)", ProductNode((_Q, _int(2)))),
+        ("(2*3)^2*Q", ProductNode((PowerNode(_int(6), 2), _Q))),
+        ("-(1 - 1)", _int(0)),
+        ("2^3", PowerNode(_int(2), 3)),
+        # Spliced blocks and negated trees.
+        ("-pq{Q}", ProductNode((_int(-1), _words("pq{Q}")))),
+        ("2*pq{Q}*P", ProductNode((_int(2), _words("pq{Q}"), _P))),
+        ("-(-Q)", ProductNode((_int(-1), ProductNode((_int(-1), _Q))))),
+        # A spliced zero block is the scalar 0, as its words are.
+        ("pq{Q - Q}*Q", ProductNode((_int(0), _Q))),
+        ("-qp{0} + 1", _int(1)),
+        # Blocks: their terms in order.
+        ("pq{-(2)*Q}", [(Monomial(1, 0), ExactScalar.from_int(-2))]),
+        ("pq{1 - 1}", []),
+        ("qp{-(Q - Q)}", []),
+        ("pq{(1/2 + i)*(2 - i)}", [(Monomial(0, 0), 2 + ExactScalar.rational(3, 2) * I)]),
+    ],
+)
+def test_every_fold_site(text, expected):
+    value = parse(text)
+    if isinstance(value, OrderedPolynomial):
+        value = list(value.terms.items())
+    assert value == expected
+
+
 def test_chained_powers_name_their_remedy():
     for text, start in (("Q^2^3", 3), ("(P + Q)^2 ^3", 10), ("-Q^1^1", 4)):
         with pytest.raises(ParseError) as err:
