@@ -11,8 +11,12 @@ The package has three layers:
 :mod:`weylkit.exprio` provides the surface syntax, :mod:`weylkit.verify`
 the reproducible check suites behind ``weylkit verify``.
 
-Only the exact layers load with the package.  The two numeric modules
-need numpy, so they and the names they export load on first access:
+Only the exact layers load with the package, and :mod:`weylkit.cli`
+adds only what every command needs: :mod:`weylkit.verify` loads with
+``weylkit verify``, ``json`` with JSON output, and ``fractions`` on the
+first use of a ``Fraction`` (a scalar's component views or its general
+constructor, see :mod:`weylkit.exactnum`).  The two numeric modules need
+numpy, so they and the names they export load on first access:
 ``fockspace``, ``FockMatrix``, ``TruncationError``, ``build_ladder``,
 ``build_qp``, ``coherent_state``, ``evaluate``, ``marginal_check`` and
 ``wigner_function``; ``phasexform``, ``SampledField``,

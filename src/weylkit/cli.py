@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
-import json
 import sys
 
-from . import exprio, opalg, ordering as conv, verify
+from . import exprio, opalg, ordering as conv
 from .opalg import (
     FreeExpression,
     Ordering,
@@ -31,6 +29,8 @@ from .opalg import (
 OK, MISMATCH, USAGE = 0, 1, 2
 
 _TAG_NAMES = sorted(tag.value for tag in Ordering)
+# sorted(verify.SUITES), kept here so that only ``weylkit verify`` loads verify.
+_SUITE_NAMES = ("commutators", "hermite", "orderings", "transform", "wigner")
 MAX_DEGREE_GUARD = 8
 MAX_DIM_GUARD = 128
 # The wigner suite's inputs need this many Fock levels: below 8 its
@@ -101,9 +101,15 @@ def _rewrite(e: FreeExpression) -> OrderedPolynomial:
     return rewrite_to_pq(e)
 
 
+def _print_json(outcome: dict) -> None:
+    import json  # only JSON output loads it
+
+    print(json.dumps(outcome, indent=2))
+
+
 def _emit(outcome: dict, as_json: bool, text: str) -> None:
     if as_json:
-        print(json.dumps(outcome, indent=2))
+        _print_json(outcome)
     else:
         print(text)
 
@@ -113,7 +119,7 @@ def _print_error(message: str, as_json: bool, span=None) -> int:
         payload = {"message": message}
         if span is not None:
             payload["span"] = list(span)
-        print(json.dumps({"status": "error", "payload": payload}, indent=2))
+        _print_json({"status": "error", "payload": payload})
     else:
         print(message, file=sys.stderr)
     return USAGE
@@ -201,6 +207,11 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Loaded here, so the other commands start without them.
+    import inspect
+
+    from . import verify
+
     # Only the options the suite takes, and that are set, are checked and passed.
     suite = verify.SUITES[args.suite]
     takes = inspect.signature(suite).parameters
@@ -234,7 +245,7 @@ def cmd_verify(args) -> int:
         },
     }
     if args.json:
-        print(json.dumps(outcome, indent=2))
+        _print_json(outcome)
     else:
         for c in checks:
             mark = "PASS" if c.passed else "FAIL"
@@ -383,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.set_defaults(func=cmd_expand)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=sorted(verify.SUITES))
+    p_verify.add_argument("suite", choices=_SUITE_NAMES)
     p_verify.add_argument("--max-degree", type=int, default=None)
     p_verify.add_argument(
         "--dim",

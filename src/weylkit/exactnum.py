@@ -18,14 +18,16 @@ products over den1*den2 (a unit operand returns the other one as is), a
 sum brings both numerator sets to one common denominator, and each result
 is reduced by a single five-way gcd.  The rational components ra, ia, rb
 and ib (the dataclass fields, in the repr) are read-only ``Fraction``
-views of the tuple, built on demand.
+views of the tuple, built on demand.  ``fractions`` loads only when a
+``Fraction`` is built: by a view, by the general constructor, or by
+``rational`` given a non-int, so the int-only arithmetic of the
+conversions never imports it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 _ZERO_TUPLE = (0, 0, 0, 0, 1)
@@ -34,6 +36,13 @@ _ONE_TUPLE = (1, 0, 0, 0, 1)
 
 class ExactArithmeticError(ArithmeticError):
     """Raised on domain errors such as inverting zero."""
+
+
+def _fraction(*args):
+    """``Fraction(*args)``, importing ``fractions`` on first use."""
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -48,15 +57,15 @@ class ExactScalar:
 
     # The fields are views of ``_t``; dataclasses takes each property for
     # the field's default, which the hand-written __init__ never uses.
-    ra: Fraction = property(lambda self: Fraction(self._t[0], self._t[4]))
-    ia: Fraction = property(lambda self: Fraction(self._t[1], self._t[4]))
-    rb: Fraction = property(lambda self: Fraction(self._t[2], self._t[4]))
-    ib: Fraction = property(lambda self: Fraction(self._t[3], self._t[4]))
+    ra: Fraction = property(lambda self: _fraction(self._t[0], self._t[4]))
+    ia: Fraction = property(lambda self: _fraction(self._t[1], self._t[4]))
+    rb: Fraction = property(lambda self: _fraction(self._t[2], self._t[4]))
+    ib: Fraction = property(lambda self: _fraction(self._t[3], self._t[4]))
 
     def __init__(self, ra=0, ia=0, rb=0, ib=0) -> None:
         # Over the lcm of reduced denominators the numerators share no
         # factor with it, so the tuple is canonical without a gcd.
-        parts = [Fraction(x) for x in (ra, ia, rb, ib)]
+        parts = [_fraction(x) for x in (ra, ia, rb, ib)]
         den = math.lcm(*(x.denominator for x in parts))
         _store(
             self,
@@ -77,7 +86,7 @@ class ExactScalar:
     @classmethod
     def rational(cls, num: int, den: int = 1) -> ExactScalar:
         if type(num) is not int or type(den) is not int:
-            return cls(Fraction(num, den))
+            return cls(_fraction(num, den))
         if not den:
             raise ZeroDivisionError(f"rational {num}/0")
         if den < 0:
@@ -291,7 +300,7 @@ def _coerce(value: ExactScalar | int) -> ExactScalar | None:
 ZERO = _make(_ZERO_TUPLE)
 ONE = ExactScalar.from_int(1)
 MINUS_ONE = ExactScalar.from_int(-1)
-I = ExactScalar(0, 1)
-MINUS_I = ExactScalar(0, -1)
-SQRT2 = ExactScalar(0, 0, 1)
-I_HALF = ExactScalar(0, Fraction(1, 2))
+I = _make((0, 1, 0, 0, 1))
+MINUS_I = _make((0, -1, 0, 0, 1))
+SQRT2 = _make((0, 0, 1, 0, 1))
+I_HALF = _make((0, 1, 0, 0, 2))

@@ -657,28 +657,68 @@ def test_exact_commands_load_no_numpy():
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(weylkit.__file__).resolve().parents[1])
+    # Each mark prints the numpy modules loaded so far, then which of the
+    # deferred modules loaded since the previous mark.
     probe = "\n".join([
         "import sys",
-        "def numpy_loaded():",
-        "    return [m for m in sys.modules if m.split('.')[0] == 'numpy']",
+        "DEFERRED = ('weylkit.verify', 'fractions', 'decimal', 'json')",
+        "seen = set()",
+        "def mark():",
+        "    numpy = [m for m in sys.modules if m.split('.')[0] == 'numpy']",
+        "    new = [m for m in DEFERRED if m in sys.modules and m not in seen]",
+        "    seen.update(new)",
+        "    print('mark', numpy, new)",
         "import weylkit.cli as cli",
-        "print(numpy_loaded())",
+        "mark()",
         "cli.main(['convert', 'pq{Q^2*P}', '--to', 'weyl'])",
-        "print(numpy_loaded())",
+        "mark()",
+        "cli.main(['convert', 'pq{Q^2*P}', '--to', 'weyl', '--format', 'json'])",
+        "mark()",
         "cli.main(['verify', 'orderings', '--max-degree', '3'])",
-        "print(numpy_loaded())",
+        "mark()",
         "cli.main(['verify', 'hermite', '--max-degree', '3'])",
         "from weylkit import derivative_representation",
-        "print(numpy_loaded())",
+        "mark()",
     ])
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     lines = out.stdout.splitlines()
-    assert lines[0] == lines[2] == lines[-1] == "[]"
+    assert [line for line in lines if line.startswith("mark ")] == [
+        "mark [] []",
+        "mark [] []",
+        "mark [] ['json']",
+        "mark [] ['weylkit.verify']",
+        "mark [] []",
+    ]
     assert lines[1] == "weyl{Q^2*P + -i*Q}"
-    assert lines[lines.index("orderings: 6/6 checks passed") + 1] == "[]"
+    assert json.loads("\n".join(lines[3:lines.index("mark [] ['json']")]))["status"] == "ok"
+    assert lines[lines.index("orderings: 6/6 checks passed") + 1] == "mark [] ['weylkit.verify']"
     assert lines[-2] == "hermite: 4/4 checks passed"
+
+
+def test_verify_suite_names_match_the_suites(capsys):
+    # The parser names the suites without loading verify.
+    assert cli._SUITE_NAMES == tuple(sorted(verify.SUITES))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert all(name in err for name in verify.SUITES)
+
+
+def test_verify_help_is_the_help_built_from_the_suites(capsys, monkeypatch):
+    def verify_help():
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["verify", "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    help_text = verify_help()
+    assert "{commutators,hermite,orderings,transform,wigner}" in help_text
+    monkeypatch.setattr(cli, "_SUITE_NAMES", sorted(verify.SUITES))
+    assert verify_help() == help_text
 
 
 def _imports(path, top_level_only):

@@ -1,8 +1,12 @@
 import copy
 import dataclasses
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,8 @@ from weylkit.exactnum import (
     ExactArithmeticError,
     ExactScalar,
     I,
+    I_HALF,
+    MINUS_I,
     ONE,
     SQRT2,
     ZERO,
@@ -261,6 +267,31 @@ def test_dataclass_replace_keeps_working():
     assert y + x == _reference_add(y, x)
 
 
+@pytest.mark.parametrize("use", [
+    "ExactScalar(1, 2) == ExactScalar.rational(1) + 2 * I",
+    "I_HALF.ra == 0 and I_HALF.ia == 0.5",
+    "repr(I_HALF) == 'ExactScalar(ra=Fraction(0, 1), ia=Fraction(1, 2), "
+    "rb=Fraction(0, 1), ib=Fraction(0, 1))'",
+    "pickle.loads(pickle.dumps(I_HALF)) == I_HALF",
+    "dataclasses.replace(I_HALF, rb=1) == I_HALF + SQRT2",
+])
+def test_fraction_uses_load_fractions_themselves(use):
+    # The exact layers run without fractions; each use that builds a
+    # Fraction loads it, in an interpreter that has not.
+    import weylkit
+
+    probe = "\n".join([
+        "import dataclasses, pickle, sys",
+        "from weylkit.exactnum import ExactScalar, I, I_HALF, SQRT2",
+        "import weylkit.cli",
+        "assert 'fractions' not in sys.modules",
+        f"assert {use}",
+        "assert 'fractions' in sys.modules",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(weylkit.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
 # -- canonical form -----------------------------------------------------
 
 
@@ -299,6 +330,12 @@ def test_canonical_form_examples():
     )
     with pytest.raises(ZeroDivisionError):
         ExactScalar.rational(1, 0)
+    # The unit constants are built from their tuples.
+    assert I == ExactScalar(0, 1)
+    assert MINUS_I == ExactScalar(0, -1)
+    assert SQRT2 == ExactScalar(0, 0, 1)
+    assert I_HALF == ExactScalar(0, Fraction(1, 2))
+    assert I_HALF.canonical == (0, 1, 0, 0, 2)
 
 
 def test_equal_rationals_built_three_ways():
