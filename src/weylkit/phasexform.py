@@ -42,6 +42,7 @@ whose coefficients are those of :func:`weylkit.ordering.weyl_to_pq`
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import warnings
@@ -53,10 +54,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 BOUNDARY_DECAY = 1e-10
 _CHIRP_ROWS = 128
+_CSV_BLOCK = 4096
 # Most cells a grid file may declare: twice the largest grid the package
 # is checked on (1024^2).  `weylkit transform --input` on a 2048 x 1024
-# file peaks at 160 MB resident and takes about 10 s, mostly reading and
-# writing text (2-core x86-64, Python 3.11, numpy 2.4).
+# file of random cells peaks at 108 MB resident and takes 5-7 s of CPU,
+# mostly reading and writing text (2-core x86-64, Python 3.11, numpy 2.4).
 MAX_CSV_CELLS = 1 << 21
 
 
@@ -155,6 +157,14 @@ class SampledField:
 
     @classmethod
     def from_csv(cls, path) -> SampledField:
+        """Read a grid written by :meth:`to_csv`; ValueError names a bad line.
+
+        numpy's text reader parses the cell lines in blocks of
+        ``_CSV_BLOCK``.  A block it refuses, or reads to any shape but one
+        row of two per line, goes through a per-line loop instead, which
+        names the first bad line and also reads the spellings only
+        ``float()`` accepts, such as ``1_0``.
+        """
         with open(path, "r", encoding="utf-8") as handle:
             header = handle.readline().strip()
             fields = header.split(",")
@@ -175,32 +185,26 @@ class SampledField:
                     f"line 1: header declares {nq}x{np_} cells, more than "
                     f"the {MAX_CSV_CELLS} a grid file may hold"
                 )
-            # Cells are collected as they are read, so the header alone
-            # never sizes an allocation.
-            cells = []
-            for idx in range(nq * np_):
-                line = handle.readline()
-                if not line:
+            # Cells are read in blocks of at most _CSV_BLOCK lines, so the
+            # header alone never sizes an allocation.
+            total = nq * np_
+            blocks = []
+            done = 0
+            while done < total:
+                want = min(_CSV_BLOCK, total - done)
+                blocks.append(_parse_cells(list(itertools.islice(handle, want)), done + 2))
+                done += len(blocks[-1])
+                if len(blocks[-1]) < want:
                     raise ValueError(
                         f"line 1: header declares {nq}x{np_} cells, but the "
-                        f"file ends before line {idx + 2}, after {idx} of "
-                        f"{nq * np_} value lines"
+                        f"file ends before line {done + 2}, after {done} of "
+                        f"{total} value lines"
                     )
-                parts = line.strip().split(",")
-                if len(parts) != 2:
-                    raise ValueError(
-                        f"line {idx + 2}: expected 're,im', got {line.strip()!r}"
-                    )
-                try:
-                    cells.append(complex(float(parts[0]), float(parts[1])))
-                except ValueError:
-                    raise ValueError(
-                        f"line {idx + 2}: non-numeric cell {line.strip()!r}"
-                    ) from None
             while chunk := handle.read(1 << 16):
                 if chunk.strip():
                     raise ValueError("trailing data after the final cell")
-            data = np.array(cells, dtype=complex)
+            data = np.concatenate(blocks).view(complex).ravel()
+            del blocks  # frees them before the check below allocates |data|
             # A finite cell such as 1.5e308,1.5e308 still has an infinite
             # magnitude, which would make boundary_max inf.
             with np.errstate(over="ignore"):
@@ -210,6 +214,34 @@ class SampledField:
                 raise ValueError(f"line {idx + 2}: non-finite cell {data[idx]}")
         return cls(q_min, q_max, p_min, p_max, data.reshape(nq, np_))
 
+
+def _parse_cells(lines: list[str], first: int) -> np.ndarray:
+    """The ``re,im`` cells of ``lines`` as an (n, 2) float array; ``first``
+    is the file line number of ``lines[0]``, for the error messages."""
+    # loadtxt skips an empty line, and warns when a block holds nothing
+    # else, so a block with one goes straight to the loop, which names it.
+    if lines and "\n" not in lines:
+        try:
+            cells = np.loadtxt(
+                lines, delimiter=",", dtype=float, comments=None, quotechar=None, ndmin=2
+            )
+        except ValueError:
+            pass
+        else:
+            if cells.shape == (len(lines), 2):
+                return cells
+    # The line loop names the first bad line, and it takes the spellings
+    # only float() reads, such as 1_0 or non-ASCII digits.
+    cells = np.empty((len(lines), 2))
+    for idx, line in enumerate(lines):
+        parts = line.strip().split(",")
+        if len(parts) != 2:
+            raise ValueError(f"line {first + idx}: expected 're,im', got {line.strip()!r}")
+        try:
+            cells[idx] = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(f"line {first + idx}: non-numeric cell {line.strip()!r}") from None
+    return cells
 
 
 def _smooth_length(target: int) -> int:
