@@ -14,8 +14,10 @@ at dim 64 and |alpha| <= 1, that its top-left 32 x 32 block agrees to
 1e-12 with (1/pi) D(alpha) Pi D(alpha)+ built from :func:`displacement`,
 which is itself pinned against a scaling-and-squaring matrix exponential.
 
-One kernel evaluator serves every phase-space sum.  With b = 2 alpha
-and x = |b|^2, the normalised entries
+The marginals, the quantization sweep and the transforms that
+``verify transform`` checks use one kernel evaluator, because they check
+the kernel itself.  With b = 2 alpha and x = |b|^2, the normalised
+entries
 
     e_k^(d) = (1/pi) e^{-x/2} b^d sqrt(k!/(k+d)!) L_k^(d)(x) = (-1)^k Delta[k+d, k]
 
@@ -28,6 +30,13 @@ costs O(dim^2 N), with no factorial and no special-function call.
 Every consumer contracts each column as it is generated, over passes
 of at most ``_KERNEL_CHUNK`` points, so memory stays O(dim * chunk)
 and no block per point is ever formed.
+
+Wigner grids take the other route to Tr[rho Delta]: the coordinate form
+Delta(q, p) = (1/pi) int dv |q+v><q-v| e^{2ipv} turns a grid into a
+Hermite recurrence on one shared position grid and two matrix products,
+O(dim * rows * len(x)) instead of O(dim^2 * points); see
+:func:`wigner_function`.  The two routes share no code past the state,
+so each checks the other (``verify wigner`` and the tests).
 
 Quadratures use the midpoint rule on uniform grids.  Passes are
 accumulated in a fixed order, so results are reproducible independent
@@ -45,7 +54,8 @@ import numpy as np
 from .opalg import OrderedPolynomial, Ordering
 
 SQRT2 = math.sqrt(2.0)
-# Points per pass of every kernel sweep: bounds its memory at O(dim * chunk).
+# Points per pass of every kernel sweep, and entries per chunk of a Wigner
+# grid's mirror-point recurrence: bounds their memory at O(dim * chunk).
 _KERNEL_CHUNK = 4096
 
 
@@ -260,8 +270,40 @@ def wigner_function(rho: FockMatrix | np.ndarray, q_axis, p_axis) -> np.ndarray:
 
     Returns the (len(q_axis), len(p_axis)) array of samples.  The state
     must be Hermitian with unit trace (checked to 1e-8), and every
-    coordinate finite.  Values are returned complex; they are real to
-    working precision for a valid state.
+    coordinate finite; the axes may be unsorted and non-uniform.  Values
+    are returned complex; they are real to working precision for a valid
+    state.
+
+    The samples come from the coordinate form of the kernel,
+    Delta(q, p) = (1/pi) int dv |q+v><q-v| e^{2ipv}, so that with x = q + v
+
+        W(q, p) = (1/pi) e^{-2ipq} int dx <2q-x|rho|x> e^{2ipx},
+
+    summed by the trapezoid rule on one position grid x that every q row
+    shares.  The trust region follows from dim alone:
+
+    * reach R = sqrt(2 dim + 1) + 6: every psi_n with n < dim, and so W
+      itself, is below rounding past R, so a point with |q| or |p| > R
+      is returned as 0;
+    * step h = pi / (max|p| + R + 6) over the points with |p| <= R: the
+      sum's aliases W(q, p + m pi/h), m != 0, then lie past R + 6;
+    * x runs over h * {-ceil(R/h), ..., ceil(R/h)}, so it holds at most
+      about 2R(2R + 6)/pi + 3 points whatever the axes;
+    * the recurrence starts from psi_0 = pi^(-1/4) e^{-x^2/2}, which
+      stays a normal double only while |x| <= 37, so a state with
+      R > 37 (dim > 480) is refused with :class:`TruncationError`.
+
+    Against the Laguerre kernel (:func:`_kernel_sums`) at dims 14, 64
+    and 128, out to 1.1 times the turning radius sqrt(2 dim + 1), the
+    largest difference measured was 1.2e-16 on coherent states, 1.6e-16
+    on random positive states, 3.5e-14 on Fock states (at |127>), and
+    6.9e-14 on a random indefinite Hermitian matrix of unit trace.
+
+    With Phi = rho @ Psi(x), the kernel K[q, x] = <2q-x|rho|x> is
+    summed as sum_n psi_n(2q - x) Phi_n(x), the recurrence running at
+    the mirror points 2q - x, ``_KERNEL_CHUNK // len(x)`` q rows at a
+    time; then W = (h/pi) e^{-2ipq} (K @ e^{2ixp}), in p blocks of at
+    most ``_KERNEL_CHUNK`` columns.
     """
     mat = rho.data if isinstance(rho, FockMatrix) else np.asarray(rho, complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -271,38 +313,58 @@ def wigner_function(rho: FockMatrix | np.ndarray, q_axis, p_axis) -> np.ndarray:
     if abs(np.trace(mat) - 1.0) > 1e-8:
         raise ValueError("state must have unit trace (tolerance 1e-8)")
     dim = mat.shape[0]
-    qg, pg = np.meshgrid(
-        np.asarray(q_axis, float), np.asarray(p_axis, float), indexing="ij"
-    )
-    qs, ps = qg.ravel(), pg.ravel()
+    qs = np.asarray(q_axis, float).ravel()
+    ps = np.asarray(p_axis, float).ravel()
     if not (np.isfinite(qs).all() and np.isfinite(ps).all()):
         raise ValueError("phase-space coordinates must be finite")
+    reach = math.sqrt(2 * dim + 1) + 6.0
+    if reach > 37.0:
+        raise TruncationError(
+            f"dim {dim} too large for the Wigner grid: need "
+            f"sqrt(2*dim+1) + 6 <= 37, i.e. dim <= 480"
+        )
 
-    total = np.zeros(qs.shape, dtype=complex)
-    # Tr[rho Delta] = sum_{j,k} rho[k,j] Delta[j,k]; each column holds
-    # Delta[j,k] for j >= k, and Hermiticity gives the mirror term
-    # rho[j,k] conj(Delta[j,k]), summed as conj(conj(rho[j,k]) Delta[j,k])
-    # so that only the short row of rho is conjugated.
-    for start in range(0, len(qs), _KERNEL_CHUNK):
-        part = slice(start, start + _KERNEL_CHUNK)
-        acc = total[part]
-        for k, col in enumerate(_kernel_columns(qs[part], ps[part], dim)):
-            acc += mat[k, k:] @ col + (mat[k + 1:, k].conj() @ col[1:]).conj()
-    return total.reshape(qg.shape)
+    out = np.zeros((len(qs), len(ps)), dtype=complex)
+    rows = np.flatnonzero(np.abs(qs) <= reach)
+    cols = np.flatnonzero(np.abs(ps) <= reach)
+    if not (rows.size and cols.size):
+        return out
+    step = math.pi / (np.abs(ps[cols]).max() + reach + 6.0)
+    half = math.ceil(reach / step)
+    xs = step * np.arange(-half, half + 1)
+    phi = mat @ hermite_functions(xs, dim)
+    lines = max(1, _KERNEL_CHUNK // len(xs))
+    for first in range(0, len(cols), _KERNEL_CHUNK):
+        block = cols[first:first + _KERNEL_CHUNK]
+        wave = np.exp(2j * np.outer(xs, ps[block]))
+        for start in range(0, len(rows), lines):
+            chunk = rows[start:start + lines]
+            kern = np.zeros((len(chunk), len(xs)), dtype=complex)
+            mirror = 2.0 * qs[chunk, None] - xs
+            for psi, phi_n in zip(_hermite_rows(mirror, dim), phi):
+                kern += psi * phi_n
+            phase = np.exp(-2j * np.outer(qs[chunk], ps[block])) * (step / math.pi)
+            out[np.ix_(chunk, block)] = phase * (kern @ wave)
+    return out
 
 
-def hermite_functions(x: float, count: int) -> np.ndarray:
-    """Oscillator eigenfunctions psi_0..psi_{count-1} at x, by the stable
-    three-term recurrence on the normalized functions themselves."""
-    psi = np.zeros(count)
-    psi[0] = math.pi ** -0.25 * math.exp(-x * x / 2.0)
-    if count > 1:
-        psi[1] = SQRT2 * x * psi[0]
-    for n in range(2, count):
-        psi[n] = math.sqrt(2.0 / n) * x * psi[n - 1] - math.sqrt(
-            (n - 1) / n
-        ) * psi[n - 2]
-    return psi
+def _hermite_rows(x: np.ndarray, count: int):
+    """Yield psi_0(x), ..., psi_{count-1}(x), each shaped like x, by the
+    stable three-term recurrence on the normalized functions themselves."""
+    prev, cur = 0.0, math.pi ** -0.25 * np.exp(-x * x / 2.0)
+    for n in range(1, count + 1):
+        yield cur
+        if n < count:
+            nxt = math.sqrt(2.0 / n) * x * cur
+            nxt -= math.sqrt((n - 1) / n) * prev
+            prev, cur = cur, nxt
+
+
+def hermite_functions(x, count: int) -> np.ndarray:
+    """Oscillator eigenfunctions psi_0..psi_{count-1} at x, shape
+    (count,) + shape(x), by the recurrence of :func:`_hermite_rows`."""
+    x = np.asarray(x, dtype=float)
+    return np.array(list(_hermite_rows(x, count))).reshape((count,) + x.shape)
 
 
 def position_projector(value: float, block: int) -> np.ndarray:

@@ -345,6 +345,29 @@ def suite_wigner(dim: int = 64) -> list[CheckResult]:
         )
     )
 
+    # wigner_function sums the coordinate form of the kernel; the
+    # Laguerre kernel columns are an independent route to Tr[rho Delta].
+    rng = np.random.default_rng(2009)
+    mix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = mix @ mix.conj().T
+    rho /= np.trace(rho)
+    axis = np.linspace(-2.0, 2.0, 5)
+    qg, pg = np.meshgrid(axis, axis, indexing="ij")
+    want = np.zeros(qg.size, dtype=complex)
+    # Tr[rho Delta] = sum_{j,k} rho[k,j] Delta[j,k]; column k holds
+    # Delta[j,k] for j >= k, and Hermiticity gives the j < k terms.
+    for k, col in enumerate(fockspace._kernel_columns(qg.ravel(), pg.ravel(), dim)):
+        want += rho[k, k:] @ col + (rho[k + 1:, k].conj() @ col[1:]).conj()
+    got = fockspace.wigner_function(rho, axis, axis).ravel()
+    checks.append(
+        _numeric(
+            "Wigner function matches Tr[rho Delta] from the Laguerre kernel",
+            float(np.abs(got - want).max()),
+            1e-12,
+            detail="random mixed state, 5x5 grid on [-2,2]^2",
+        )
+    )
+
     step = 0.05
     count = int(round(12.0 / step))
     grid = -6.0 + (np.arange(count) + 0.5) * step

@@ -469,6 +469,14 @@ def test_verify_ignores_the_options_a_suite_does_not_take(capsys, argv):
     assert "FAIL" not in out
 
 
+def test_verify_wigner_at_the_dim_cap(capsys):
+    # The largest dim the CLI takes, where the suite's Wigner grids cost most.
+    code, out, err = run(capsys, "verify", "wigner", "--dim", str(cli.MAX_DIM_GUARD))
+    assert code == 0, err
+    assert "FAIL" not in out
+    assert "Laguerre kernel" in out
+
+
 @pytest.mark.parametrize("dim", ["2", "7", "11"])
 def test_verify_refuses_a_dim_below_the_wigner_floor(capsys, dim):
     # Below 8 the suite's 8x8 blocks do not fit; below 12 its coherent

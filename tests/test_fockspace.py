@@ -157,14 +157,170 @@ def test_wigner_function_matches_reference_across_chunks():
     got = fs.wigner_function(rho, axis, axis).ravel()
     qg, pg = np.meshgrid(axis, axis, indexing="ij")
     seam = fs._KERNEL_CHUNK
+    # The q rows are summed a few at a time (9 rows here); the last point
+    # of every row and the first of the next straddle each possible seam.
+    row_ends = np.arange(1, len(axis)) * len(axis)
     picks = np.unique(np.concatenate([
         [0, len(got) - 1],
         np.arange(seam - 3, seam + 3),
         rng.choice(len(got), 40, replace=False),
+        row_ends - 1,
+        row_ends,
     ]))
     blocks = _reference_kernel_blocks(qg.ravel()[picks], pg.ravel()[picks], dim)
     want = np.einsum("kj,njk->n", rho, blocks)
     assert np.abs(got[picks] - want).max() < 1e-12
+
+
+def _laguerre_blocks(q_axis, p_axis, dim):
+    # Kernel blocks from the Laguerre recurrence at every grid point,
+    # shape (len(q_axis), len(p_axis), dim, dim).
+    qg, pg = np.meshgrid(q_axis, p_axis, indexing="ij")
+    blocks = fs._kernel_sums(qg.ravel(), pg.ravel(), np.eye(qg.size), dim)
+    return blocks.reshape(qg.shape + (dim, dim))
+
+
+def _laguerre_wigner(rho, blocks):
+    # Tr[rho Delta] = sum_{j,k} rho[k,j] Delta[j,k].
+    return np.einsum("kj,...jk->...", rho, blocks)
+
+
+def _normalized(vec):
+    return vec / np.linalg.norm(vec)
+
+
+def _cross_route_axes(dim):
+    # Points out to past the turning radius sqrt(2 dim + 1), unsorted and
+    # unevenly spaced.
+    edge = math.sqrt(2 * dim + 1)
+    q_axis = edge * np.array([0.4, -1.1, 0.0, 0.93, -0.55, 1.04, -0.2])
+    p_axis = edge * np.array([-0.7, 0.15, 1.08, -1.02, 0.6, 0.0])
+    return q_axis, p_axis
+
+
+@pytest.mark.parametrize("dim", [14, 64, 128])
+def test_wigner_function_matches_laguerre_route_on_pure_and_mixed_states(dim):
+    q_axis, p_axis = _cross_route_axes(dim)
+    blocks = _laguerre_blocks(q_axis, p_axis, dim)
+    rng = np.random.default_rng(dim)
+    coherent = [
+        _normalized(fs.coherent_state(beta, dim))
+        for beta in (0.0, 1.2 - 0.5j, -0.8 + 1.1j, math.sqrt(dim / 5.0) * 1j)
+    ]
+    states = [np.outer(vec, vec.conj()) for vec in coherent]
+    fock = np.zeros((dim, dim))
+    fock[3, 3] = 1.0
+    states.append(0.5 * states[1] + 0.3 * states[2] + 0.2 * fock)
+    mix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    positive = mix @ mix.conj().T
+    states.append(positive / np.trace(positive))
+    # Hermitian with unit trace but not positive.
+    indefinite = (mix + mix.conj().T) / 2.0
+    indefinite += np.eye(dim) * (1.0 - np.trace(indefinite)) / dim
+    states.append(indefinite)
+    for rho in states:
+        got = fs.wigner_function(rho, q_axis, p_axis)
+        assert np.abs(got - _laguerre_wigner(rho, blocks)).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [14, 64, 128])
+def test_wigner_function_matches_laguerre_route_on_every_fock_state(dim):
+    q_axis, p_axis = _cross_route_axes(dim)
+    # The Wigner function of |n> is the kernel's diagonal entry n.
+    diagonals = np.einsum("...nn->n...", _laguerre_blocks(q_axis, p_axis, dim))
+    for n in range(dim):
+        rho = np.zeros((dim, dim))
+        rho[n, n] = 1.0
+        got = fs.wigner_function(rho, q_axis, p_axis)
+        assert np.abs(got - diagonals[n]).max() < 1e-12, n
+
+
+def test_wigner_function_axes_shapes():
+    rho = np.zeros((8, 8))
+    rho[0, 0] = 1.0
+    for q_axis, p_axis, shape in (
+        ([], [0.0], (0, 1)),
+        ([0.0, 1.0], [], (2, 0)),
+        ([], [], (0, 0)),
+        (0.3, -0.2, (1, 1)),
+    ):
+        got = fs.wigner_function(rho, q_axis, p_axis)
+        assert got.shape == shape and got.dtype == complex
+    single = fs.wigner_function(rho, [0.3], [-0.2])
+    assert abs(single[0, 0] - math.exp(-0.13) / math.pi) < 1e-15
+
+
+def test_wigner_function_on_unsorted_uneven_axes():
+    dim = 32
+    rng = np.random.default_rng(17)
+    vec = _normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    rho = np.outer(vec, vec.conj())
+    q_axis = rng.uniform(-7.0, 7.0, 23)
+    p_axis = np.concatenate([rng.uniform(-7.0, 7.0, 11), [0.5, 0.5, -0.5]])
+    got = fs.wigner_function(rho, q_axis, p_axis)
+    want = _laguerre_wigner(rho, _laguerre_blocks(q_axis, p_axis, dim))
+    assert np.abs(got - want).max() < 1e-12
+    order_q, order_p = np.argsort(q_axis), np.argsort(p_axis)
+    in_order = fs.wigner_function(rho, q_axis[order_q], p_axis[order_p])
+    assert np.abs(in_order - got[np.ix_(order_q, order_p)]).max() < 1e-12
+
+
+def test_wigner_function_across_a_p_block_seam():
+    # More than _KERNEL_CHUNK p points: the p axis is taken in blocks.
+    dim = 8
+    p_axis = np.linspace(-5.0, 5.0, fs._KERNEL_CHUNK + 7)
+    q_axis = [-0.4, 1.3]
+    rho = np.diag(np.linspace(1.0, 2.0, dim)) / np.linspace(1.0, 2.0, dim).sum()
+    got = fs.wigner_function(rho, q_axis, p_axis)
+    cols = np.arange(fs._KERNEL_CHUNK - 3, fs._KERNEL_CHUNK + 3)
+    want = _laguerre_wigner(rho, _laguerre_blocks(q_axis, p_axis[cols], dim))
+    assert np.abs(got[:, cols] - want).max() < 1e-12
+
+
+def test_wigner_function_trust_region_edge():
+    # Past the reach R = sqrt(2 dim + 1) + 6 the Wigner function is below
+    # rounding, so points there are returned as 0; inside it they are summed.
+    dim = 64
+    reach = math.sqrt(2 * dim + 1) + 6.0
+    rho = np.zeros((dim, dim))
+    rho[dim - 1, dim - 1] = 1.0
+    axis = np.array([0.0, reach - 1e-9, reach + 1e-9, -reach - 1e-9, 50.0])
+    got = fs.wigner_function(rho, axis, axis)
+    want = _laguerre_wigner(rho, _laguerre_blocks(axis, axis, dim))
+    assert np.abs(want[:, 2:]).max() < 1e-30 and np.abs(want[2:]).max() < 1e-30
+    assert np.all(got[:, 2:] == 0) and np.all(got[2:] == 0)
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_wigner_function_far_axes_run_in_bounded_memory():
+    # An unclipped position grid would grow with max|p|: 1.4e7 points at
+    # |p| = 1e6, a 14 GB table at dim 64.  Far coordinates used to give nan.
+    dim = 64
+    state = fs.coherent_state(0.5, dim)
+    rho = np.outer(state, state.conj())
+    near = fs.wigner_function(rho, [0.0, 0.7], [0.0, 0.3])
+    tracemalloc.start()
+    try:
+        got = fs.wigner_function(rho, [0.0, 0.7, 1e200], [0.0, 0.3, 1e6, -1e300])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert np.array_equal(got[:2, :2], near)
+    assert np.all(got[2] == 0) and np.all(got[:, 2:] == 0)
+
+
+def test_wigner_function_refuses_a_dim_past_its_trust_region():
+    # psi_0 = pi^(-1/4) e^{-x^2/2} must stay a normal double out to the
+    # reach: sqrt(2 dim + 1) + 6 <= 37 holds up to dim 480.
+    edge = np.zeros((480, 480))
+    edge[479, 479] = 1.0
+    assert np.isfinite(fs.wigner_function(edge, [0.0, 31.0], [0.0])).all()
+    past = np.eye(481) / 481
+    with pytest.raises(fs.TruncationError, match="dim <= 480"):
+        fs.wigner_function(past, [0.0], [0.0])
+    with pytest.raises(ValueError):
+        fs.wigner_function(past, [0.0], [0.0])
 
 
 def _kernel_at(q, p, dim):
@@ -328,6 +484,15 @@ def test_hermite_functions_match_explicit_forms():
         assert abs(psi[0] - norm) < 1e-15
         assert abs(psi[1] - math.sqrt(2.0) * x * norm) < 1e-14
         assert abs(psi[2] - (2.0 * x * x - 1.0) / math.sqrt(2.0) * norm) < 1e-13
+
+
+def test_hermite_functions_vectorize_over_x():
+    xs = np.array([[-1.5, 0.0], [0.3, 2.0], [7.5, -40.0]])
+    table = fs.hermite_functions(xs, 9)
+    assert table.shape == (9, 3, 2)
+    for index in np.ndindex(xs.shape):
+        assert np.array_equal(table[(slice(None),) + index], fs.hermite_functions(xs[index], 9))
+    assert fs.hermite_functions(0.5, 1).shape == (1,)
 
 
 def test_fock_matrix_validation():
