@@ -23,7 +23,9 @@ from .opalg import (
     SumNode,
     SymbolNode,
     UnsupportedSymbolError,
+    WorkLimitError,
     rewrite_to_pq,
+    work_budget,
 )
 
 OK, MISMATCH, USAGE = 0, 1, 2
@@ -50,7 +52,7 @@ MAX_EXPANSION_WORK = 2**22
 
 
 class ExpansionTooLargeError(ValueError):
-    """An expansion past the rewriting bounds, or a conversion past MAX_WORK."""
+    """A bare expression's expansion past the rewriting bounds."""
 
 
 def _expansion_size(e: FreeExpression) -> tuple[int, int]:
@@ -130,14 +132,12 @@ def _to_polynomial(
 ) -> OrderedPolynomial:
     if isinstance(value, FreeExpression):
         value = _rewrite(value)
-    if opalg._conversion_work(value, target) > opalg.MAX_WORK:
-        raise ExpansionTooLargeError("too large to convert: a conversion may do at most "
-                                     f"{opalg.MAX_WORK} coefficient products times coefficient bits")
-    return conv.convert(value, target)
+    with work_budget():
+        return conv.convert(value, target)
 
 
 def _words(value) -> FreeExpression:
-    """A lone block as its P-Q words, its conversion bounded first."""
+    """A lone block as its P-Q words, converted in its own work budget."""
     block = isinstance(value, OrderedPolynomial)
     return exprio.as_words(_to_polynomial(value, Ordering.PQ)) if block else value
 
@@ -178,6 +178,9 @@ def _run(args, sources: list[str], build) -> int:
         poly = build(*operands)
     except (UnsupportedSymbolError, ExpansionTooLargeError) as exc:
         return _print_error(str(exc), as_json)
+    except WorkLimitError:  # only a conversion's budget is open here
+        return _print_error("too large to convert: a conversion may do at most "
+                            f"{opalg.MAX_WORK} coefficient products times coefficient bits", as_json)
     return _emit_polynomial(poly, as_json)
 
 

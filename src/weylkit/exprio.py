@@ -44,8 +44,9 @@ Parentheses and unary minus nest at most ``MAX_NESTING`` levels deep,
 and an integer literal may have at most as many digits as Python reads
 into an int (:func:`max_int_digits`); past either bound the parser
 raises :class:`ParseError`.  So does a block whose products, powers and,
-if it is spliced, conversion to words would pass ``opalg.MAX_WORK``
-(:mod:`weylkit.opalg`'s work model), before the operator that passes it.
+if it is spliced, conversion to words charge its own
+:class:`weylkit.opalg.work_budget` past ``opalg.MAX_WORK``: at the
+operator, or the opening tag for the conversion, before it multiplies.
 """
 
 from __future__ import annotations
@@ -70,15 +71,14 @@ from .opalg import (
     SumNode,
     Symbol,
     SymbolNode,
+    WorkLimitError,
     _as_expression,
-    _conversion_work,
     _monomial,
     _power,
-    _power_work,
     _product,
-    _product_work,
     collect,
     to_expression,
+    work_budget,
 )
 
 # Deepest nesting of '(' and unary '-' the parser accepts; the recursive
@@ -284,8 +284,9 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.in_block = False
-        # The open block's work so far, against opalg.MAX_WORK.
-        self.work = 0
+        # The token of the block's last product, power or conversion: the
+        # span of a refusal by the block's work budget.
+        self.op = 0
 
     def token(self, pos: int) -> Token:
         """Token ``pos`` with its span, for an error."""
@@ -330,17 +331,6 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def charge(self, work: int, pos: int) -> None:
-        """Add ``work`` to the open block's, refusing past opalg.MAX_WORK."""
-        self.work += work
-        if self.work > opalg.MAX_WORK:
-            raise ParseError(
-                "ordering block too large to multiply out: its products, "
-                f"powers and conversion may do at most {opalg.MAX_WORK} coefficient "
-                "products times coefficient bits (bits squared over 2^16 past 2^16 bits)",
-                self.token(pos).span,
-            )
-
     def parse_expr(self):
         kinds = self.kinds
         kind = kinds[self.pos]
@@ -382,10 +372,8 @@ class _Parser:
     def multiply(self, x, y, star: int):
         if x.__class__ is ExactScalar and y.__class__ is ExactScalar:
             return x * y
-        x, y = _terms(x), _terms(y)
-        if len(x) > 1 or len(y) > 1:
-            self.charge(_product_work(x, y), star)
-        return _product(x, y, ZERO)
+        self.op = star
+        return _product(_terms(x), _terms(y), ZERO)
 
     def parse_unary(self):
         """A unary, with its factor's power read here too."""
@@ -402,9 +390,8 @@ class _Parser:
         exponent = int(self.expect("int"))
         if not self.in_block:
             return PowerNode(_as_expression(base), exponent)
-        base = _terms(base)
-        self.charge(_power_work(base, exponent), caret)
-        return _power(base, exponent, ZERO)
+        self.op = caret
+        return _power(_terms(base), exponent, ZERO)
 
     def parse_primary(self, pos: int, kind: str):
         self.pos = pos + 1
@@ -456,20 +443,28 @@ class _Parser:
         if self.in_block:
             raise ParseError("ordering blocks cannot nest", self.token(pos).span)
         self.in_block = True
-        self.work = 0
-        body = self.parse_expr()
-        self.expect("rbrace")
-        self.in_block = False
-        block = OrderedPolynomial(
-            _BLOCK_TAGS[self.texts[pos]],
-            {_monomial(key): c for key, c in _terms(body).items()},
-        )
-        # A block that is the whole input is the polynomial itself.
-        if pos == 0 and self.kinds[self.pos] == "eof":
-            return block
-        self.charge(_conversion_work(block, Ordering.PQ), pos)
-        # A zero block is the scalar 0, as its words are.
-        return ZERO if block.is_zero() else as_words(block)
+        try:
+            with work_budget():
+                body = self.parse_expr()
+                self.expect("rbrace")
+                self.in_block = False
+                block = OrderedPolynomial(
+                    _BLOCK_TAGS[self.texts[pos]],
+                    {_monomial(key): c for key, c in _terms(body).items()},
+                )
+                # A block that is the whole input is the polynomial itself.
+                if pos == 0 and self.kinds[self.pos] == "eof":
+                    return block
+                self.op = pos
+                # A zero block is the scalar 0, as its words are.
+                return ZERO if block.is_zero() else as_words(block)
+        except WorkLimitError:
+            raise ParseError(
+                "ordering block too large to multiply out: its products, "
+                f"powers and conversion may do at most {opalg.MAX_WORK} coefficient "
+                "products times coefficient bits (bits squared over 2^16 past 2^16 bits)",
+                self.token(self.op).span,
+            ) from None
 
 
 def parse(text: str) -> FreeExpression | OrderedPolynomial:

@@ -9,8 +9,10 @@ lives here, and :func:`_power` raises a term dict to a power with it.
 The parser folds ordering-block bodies with both, f = 0, as it reads
 them; :func:`_evaluate` folds them over a parse tree, f = 1 over (a+, a)
 for :func:`normal_order`, a run of one symbol as one power.
-``_product_work``, ``_power_work`` and ``_conversion_work`` bound their
-cost beforehand against ``MAX_WORK``.
+In a :class:`work_budget`, :func:`_product`, :func:`_power` and
+:func:`weylkit.ordering.convert` charge their work right before they
+multiply, refusing work past ``MAX_WORK`` in all; outside one nothing is
+charged or bounded.
 
 The rewriting oracle (:func:`rewrite_to_pq`, :func:`rewrite_to_qp`,
 :func:`commutator`) uses none of it: it expands into words over the
@@ -32,11 +34,12 @@ polynomial in the word length.  The oracle is the ground truth that
 every closed form is tested against.
 
 :func:`collect` is the package's single sparse-sum core.  All values are
-immutable and the operations are pure.
+immutable and the operations are pure, but for charging an open budget.
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import functools
 import itertools
@@ -56,6 +59,33 @@ MAX_WORK = 2**26
 
 class UnsupportedSymbolError(ValueError):
     """An operation received a symbol outside its alphabet."""
+
+
+class WorkLimitError(ValueError):
+    """Work inside a :class:`work_budget` would pass ``MAX_WORK``."""
+
+
+class work_budget:
+    """Context manager that bounds the products, powers and conversions
+    made inside it to ``MAX_WORK`` of work in all, read at each charge.
+    It enters as itself, ``work`` the total charged, and sets an
+    enclosing budget aside until it exits."""
+
+    def __enter__(self) -> work_budget:
+        self.work, self._token = 0, _BUDGET.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _BUDGET.reset(self._token)
+
+    def charge(self, work: int) -> None:
+        self.work += work
+        if self.work > MAX_WORK:
+            raise WorkLimitError(f"work past {MAX_WORK} coefficient products times coefficient bits")
+
+
+# The open budget of this thread or task: each has its own, or none.
+_BUDGET = contextvars.ContextVar("weylkit_work_budget", default=None)
 
 
 class Ordering(enum.Enum):
@@ -118,21 +148,15 @@ def _conversion_terms(
         yield (m - l, r - l), count * power
 
 
-def _conversion_work(poly: OrderedPolynomial, target: Ordering) -> int:
-    """The work of converting ``poly`` to ``target``: per term Q^m P^r, k + 1
-    products of a ``bits``-bit coefficient by a ``count``-bit l! C(m,l)
-    C(r,l), over 2^l if f = +-i/2, each charged bits + count (at least
-    1), times min(bits, count) / 2**16 past 2**16."""
-    if poly.ordering is target:
-        return 0
-    half = Ordering.WEYL in (poly.ordering, target)
-    bits, work = _coefficient_bits(poly.terms), 0
-    for m, r in poly.terms:
-        k = min(m, r)  # l! C(m,l) C(r,l) <= min(2^(m+r) k!, (mr)^k) for l <= k
-        count = min(m + r + math.ceil(math.lgamma(k + 1) / math.log(2)),
-                    k * (m * r).bit_length()) + (k if half else 0)
-        work += (k + 1) * max(1, bits + count) * max(1, min(bits, count) >> 16)
-    return work
+def _conversion_term_work(m: int, r: int, bits: int, half: bool) -> int:
+    """The work of converting one term Q^m P^r with a ``bits``-bit
+    coefficient: k + 1 products of it by a ``count``-bit l! C(m,l)
+    C(r,l), over 2^l if ``half`` (f = +-i/2), each charged bits + count
+    (at least 1), times min(bits, count) / 2**16 past 2**16."""
+    k = min(m, r)  # l! C(m,l) C(r,l) <= min(2^(m+r) k!, (mr)^k) for l <= k
+    count = min(m + r + math.ceil(math.lgamma(k + 1) / math.log(2)),
+                k * (m * r).bit_length()) + (k if half else 0)
+    return (k + 1) * max(1, bits + count) * max(1, min(bits, count) >> 16)
 
 
 def _coefficient_bits(terms: Mapping) -> int:
@@ -171,8 +195,7 @@ def _power_work(base: Mapping, exponent: int) -> int:
     squaring; for more, a bound on the coefficient products of its
     exponent - 1 products times the work of each."""
     if len(base) == 1:
-        ((_, c),) = base.items()
-        return 0 if c is ONE else _bit_work(exponent * _coefficient_bits(base))
+        return _bit_work(exponent * _coefficient_bits(base))
     if not base or exponent < 2:
         return 0
     # Each product term is a sum of exponent keys of base: at most one
@@ -187,6 +210,15 @@ def _power_work(base: Mapping, exponent: int) -> int:
 
 
 def _product(x: Mapping, y: Mapping, f: ExactScalar) -> dict:
+    """x*y by :func:`_multiply`, charged ``_product_work`` first in a budget
+    when a side has more than one term."""
+    budget = _BUDGET.get()
+    if budget is not None and (len(x) > 1 or len(y) > 1):
+        budget.charge(_product_work(x, y))
+    return _multiply(x, y, f)
+
+
+def _multiply(x: Mapping, y: Mapping, f: ExactScalar) -> dict:
     """Product of term dicts keyed (a, b) = left^a right^b, x outer, y inner:
     (left^a1 right^b1)(left^a2 right^b2) = sum_l f^l l! C(b1,l) C(a2,l)
     left^(a1+a2-l) right^(b1+b2-l), where right*left = left*right + f.
@@ -232,16 +264,25 @@ def _power(base: Mapping, exponent: int, f: ExactScalar) -> dict:
     power of one generator otherwise) is one monomial, its coefficient
     raised by squaring.  Any other nonzero base is multiplied out
     exponent - 1 times, left to right; the empty product is the unit.
+    In a budget it is charged ``_power_work`` once, before any of it is
+    made; a unit's power is made for free.
     """
-    if len(base) == 1:
+    monomial = len(base) == 1
+    if monomial:
         (((a, b), c),) = base.items()
-        if not (a and b) or f.is_zero():
-            return {(a * exponent, b * exponent): c if c is ONE else c**exponent}
+        monomial = not (a and b) or f.is_zero()
+        if monomial and c is ONE:
+            return {(a * exponent, b * exponent): c}
+    budget = _BUDGET.get()
+    if budget is not None:
+        budget.charge(_power_work(base, exponent))
+    if monomial:
+        return {(a * exponent, b * exponent): c**exponent}
     if not exponent:
         return {(0, 0): ONE}
     out = base  # zero, when base is, at once
     for _ in range(exponent - 1 if base else 0):
-        out = _product(out, base, f)
+        out = _multiply(out, base, f)
     return out
 
 

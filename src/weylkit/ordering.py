@@ -22,9 +22,10 @@ differentiation of e^{-2ist} gives :func:`weyl_to_pq`
 (:func:`derivative_representation`).  Both return
 :class:`weylkit.opalg.OrderedPolynomial` values, tagged Weyl and P-Q,
 and neither calls the generator or the product.  Everything here is a pure
-function over exact scalars, so conversions can be cross-checked
-bit-for-bit against the brute-force rewriting oracle in
-:mod:`weylkit.opalg`, which shares none of this code.
+function over exact scalars, but for :func:`convert` charging an open
+work budget, so conversions can be cross-checked bit-for-bit against
+the brute-force rewriting oracle in :mod:`weylkit.opalg`, which shares
+none of this code.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .opalg import (
     Q,
     ScalarNode,
     SumNode,
+    _BUDGET,
+    _coefficient_bits,
+    _conversion_term_work,
     _conversion_terms,
     collect,
 )
@@ -192,18 +196,25 @@ def p_plus_q_power(n: int, target: Ordering) -> OrderedPolynomial:
 
 
 def convert(p: OrderedPolynomial, target: Ordering) -> OrderedPolynomial:
-    """Linear extension of the monomial conversion maps."""
+    """Linear extension of the monomial conversion maps.
+
+    In a :class:`weylkit.opalg.work_budget`, each term is charged its
+    ``_conversion_term_work`` before its products are made."""
     if p.ordering is target:
         return p
     factor = _FACTORS[p.ordering, target]
-    return OrderedPolynomial.from_terms(
-        target,
-        (
-            (key, c * coeff)
-            for mon, coeff in p.terms.items()
-            for key, c in _conversion_terms(mon.m, mon.r, factor)
-        ),
-    )
+    half = Ordering.WEYL in (p.ordering, target)
+    budget = _BUDGET.get()
+    bits = None if budget is None else _coefficient_bits(p.terms)
+
+    def terms():
+        for (m, r), coeff in p.terms.items():
+            if budget is not None:
+                budget.charge(_conversion_term_work(m, r, bits, half))
+            for key, c in _conversion_terms(m, r, factor):
+                yield key, c * coeff
+
+    return OrderedPolynomial.from_terms(target, terms())
 
 
 def weyl_symmetrization(m: int, r: int) -> FreeExpression:

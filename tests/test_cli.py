@@ -245,8 +245,9 @@ def test_oversized_conversions_exit_2_promptly(capsys, argv):
 
 def test_conversions_share_the_block_work_bound(capsys, monkeypatch):
     block = exprio.parse("pq{(Q*P)^20 - 3*Q}")
-    work = opalg._conversion_work(block, Ordering.QP)
-    want = exprio.render_terms(conv.convert(block, Ordering.QP))
+    with opalg.work_budget() as budget:
+        want = exprio.render_terms(conv.convert(block, Ordering.QP))
+    work = budget.work
     monkeypatch.setattr(opalg, "MAX_WORK", work)
     assert run(capsys, "convert", "pq{(Q*P)^20 - 3*Q}", "--to", "qp") == (0, want + "\n", "")
     monkeypatch.setattr(opalg, "MAX_WORK", work - 1)
@@ -281,7 +282,9 @@ def test_conversion_charges_a_long_coefficient_by_a_short_count():
     block = exprio.parse("pq{3^1000000*Q*P}")
     bits = opalg._coefficient_bits(block.terms)
     assert bits > 2**20
-    assert opalg._conversion_work(block, Ordering.QP) == 2 * (bits + 1) <= opalg.MAX_WORK
+    with opalg.work_budget() as budget:
+        conv.convert(block, Ordering.QP)
+    assert budget.work == 2 * (bits + 1) <= opalg.MAX_WORK
 
 
 def test_expansion_bounds_accept_their_edges(capsys):
@@ -772,17 +775,35 @@ def test_module_layering():
                 for node in ast.walk(tree)
             }
             assert "to_expression" not in names, path.name
-    # One work model, in opalg: the parser charges it and defines none of it,
-    # and the product and conversion layers never import the parser.
-    top = ast.parse((src / "exprio.py").read_text()).body
-    defined = {getattr(node, "name", None) for node in top} | {
-        target.id for node in top if isinstance(node, ast.Assign)
-        for target in node.targets if isinstance(target, ast.Name)
-    }
+    # One work model, in opalg, charged where the work is done: the parser
+    # and the command line define none of it, use none of its cost
+    # functions and never compare against MAX_WORK; the product and
+    # conversion layers never import the parser.
     cost_model = {"MAX_WORK", "MAX_BLOCK_WORK", "_coefficient_bits", "_bit_work",
-                  "_product_work", "_power_work", "_conversion_work"}
-    assert not defined & cost_model
+                  "_product_work", "_power_work", "_conversion_term_work"}
     assert cost_model - {"MAX_BLOCK_WORK"} <= set(vars(opalg))
+    for module in ("exprio", "cli"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        top = tree.body
+        defined = {getattr(node, "name", None) for node in top} | {
+            target.id for node in top if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        assert not defined & cost_model, module
+        used = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(tree)
+        } | {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not used & (cost_model - {"MAX_WORK"}), module
+        compared = {
+            getattr(name, "id", None) or getattr(name, "attr", None)
+            for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            for name in ast.walk(node)
+        }
+        assert "MAX_WORK" not in compared, module
     for module in ("opalg", "ordering"):
         imported = _imports(src / f"{module}.py", top_level_only=False)
         assert not {n for n in imported if "exprio" in n}, module

@@ -2,8 +2,10 @@ import json
 import random
 import string
 import sys
+import threading
 from collections import namedtuple
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +41,7 @@ from weylkit.opalg import (
     _product_work,
     collect,
     rewrite_to_pq,
+    work_budget,
 )
 
 
@@ -751,6 +754,56 @@ def test_block_work_bound_refuses_before_multiplying(monkeypatch):
     assert f"at most {opalg.MAX_WORK} coefficient products" in help_text
 
 
+def test_a_refused_block_leaves_no_budget_open(monkeypatch):
+    # Refused at a power, a product or a splice's conversion, the parse
+    # leaves no budget behind.
+    for text in ("pq{(Q+P)^2000}", "pq{(1+Q+P)^40*(1+Q+P)^40}", "P + weyl{Q^3000*P^3000}"):
+        with pytest.raises(ParseError):
+            parse(text)
+        assert opalg._BUDGET.get() is None, text
+    # The next parse charges a fresh budget, and a library conversion
+    # after it has no bound at all.
+    assert len(parse("pq{(1+Q+P)^64}").terms) == 66 * 65 // 2
+    monkeypatch.setattr(opalg, "MAX_WORK", 0)
+    block = parse("pq{(Q*P)^20 - 3*Q}")
+    assert len(conv.convert(block, Ordering.QP).terms) == 22
+
+
+def test_threads_charge_their_own_block_budgets(monkeypatch):
+    # Each of two threads parses a block at the cap, their products in
+    # lockstep: a shared budget would pass the cap at the third product.
+    pair = {(1, 0): ONE, (0, 1): ONE}
+    text = "pq{(Q+P)*(Q+P) + (Q+P)*(Q+P)}"
+    want = parse(text)
+    monkeypatch.setattr(opalg, "MAX_WORK", 2 * _product_work(pair, pair))
+    with pytest.raises(ParseError):
+        parse("pq{(Q+P)*(Q+P) + (Q+P)*(Q+P)*(Q+P)}")
+    barrier = threading.Barrier(2, timeout=10)
+
+    def product(*args):
+        out = _product(*args)
+        barrier.wait()
+        return out
+
+    monkeypatch.setattr(exprio, "_product", product)
+    results = []
+
+    def target():
+        try:
+            results.append(parse(text))
+        except Exception as exc:  # reported below, not lost in the thread
+            barrier.abort()
+            results.append(exc)
+
+    threads = [threading.Thread(target=target) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert results == [want, want]
+
+
 def _largest(terms: dict) -> int:
     """The largest integer in the canonical form of any coefficient."""
     return max((abs(n) for c in terms.values() for n in c.canonical), default=1)
@@ -768,25 +821,62 @@ block_terms = st.dictionaries(
 ).map(lambda t: {key: c for key, c in t.items() if not c.is_zero()})
 
 
+def _product_charge(x: dict, y: dict) -> int:
+    """Reference for a product's charge, as the parser summed it: its
+    _product_work when a side has more than one term, else nothing."""
+    return _product_work(x, y) if len(x) > 1 or len(y) > 1 else 0
+
+
+def _block_charge(x: dict, y: dict, exponent: int) -> int:
+    """Reference for the parser's sum over the block (x)*(y)^exponent:
+    the power's _power_work, then the product's charge."""
+    return _power_work(y, exponent) + _product_charge(x, _power(y, exponent, ZERO))
+
+
 @given(block_terms, block_terms, st.integers(0, 5))
 @settings(max_examples=200, deadline=None)
 def test_block_work_bounds_the_result(x, y, exponent):
     # No integer of a coefficient of a k-fold product passes 2**(k*B),
     # B = _coefficient_bits of one factor, and a product of x and y has at
-    # most len(x) * len(y) terms.
+    # most len(x) * len(y) terms.  A budget is charged the reference.
     bits = _coefficient_bits(x)
-    product = _product(x, y, ZERO)
+    with work_budget() as budget:
+        product = _product(x, y, ZERO)
+    assert budget.work == _product_charge(x, y)
     assert len(product) <= len(x) * len(y)
     assert _largest(product) <= 2 ** (bits + _coefficient_bits(y))
-    assert _largest(_power(x, exponent, ZERO)) <= 2 ** (exponent * bits)
-    # The power's bound covers each of its products: terms times terms
+    with work_budget() as budget:
+        power = _power(x, exponent, ZERO)
+    assert budget.work == _power_work(x, exponent)
+    assert _largest(power) <= 2 ** (exponent * bits)
+    # The power's charge covers each of its products: terms times terms
     # times the bits of the result.
     work, out = 0, x
     for _ in range(exponent - 1 if len(x) > 1 else 0):
         step = _product(out, x, ZERO)
         work += len(out) * len(x) * max(1, _largest(step).bit_length() - 1)
         out = step
-    assert work <= _power_work(x, exponent)
+    assert work <= budget.work
+
+
+@given(block_terms, block_terms, st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_block_budget_charges_what_the_parser_summed(x, y, exponent):
+    # A block is accepted with MAX_WORK at the reference sum and refused
+    # one below it, at the operator whose charge crosses: the '*' when
+    # the product is charged, else the '^'.
+    left, right = (render_terms(OrderedPolynomial.from_terms(Ordering.QP, t.items())) for t in (x, y))
+    text = f"qp{{({left})*({right})^{exponent}}}"
+    charge = _block_charge(x, y, exponent)
+    with mock.patch.object(opalg, "MAX_WORK", charge):
+        parse(text)
+    if not charge:
+        return
+    with mock.patch.object(opalg, "MAX_WORK", charge - 1), pytest.raises(ParseError) as err:
+        parse(text)
+    star = len(f"qp{{({left})")
+    at = star if _product_charge(x, _power(y, exponent, ZERO)) else text.index(")^") + 1
+    assert err.value.span == (at, at + 1)
 
 
 def _parens(depth: int) -> str:

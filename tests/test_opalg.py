@@ -24,7 +24,9 @@ from weylkit.opalg import (
     SumNode,
     Symbol,
     UnsupportedSymbolError,
+    WorkLimitError,
     _evaluate,
+    _power,
     _product,
     _rewrite_expression,
     _rewrite_word,
@@ -36,8 +38,9 @@ from weylkit.opalg import (
     rewrite_to_qp,
     scalar,
     to_expression,
+    work_budget,
 )
-from weylkit.ordering import qp_to_pq
+from weylkit.ordering import convert, qp_to_pq
 
 INV_SQRT2 = SQRT2.invert()
 # Q = (a + a+)/sqrt2,  P = (a - a+)/(sqrt2 i)
@@ -476,16 +479,46 @@ def test_product_edge_cases():
     assert _product({(1, 0): ONE}, {(0, 1): ONE}, ZERO) == {(1, 1): ONE}
 
 
+def test_nothing_is_bounded_outside_a_budget(monkeypatch):
+    # With no budget open, a cap of 0 bounds nothing: the product, the
+    # power, normal ordering and conversion return what they did before.
+    pair = {(1, 0): ONE, (0, 1): ONE}
+    weyl = OrderedPolynomial.from_terms(Ordering.WEYL, [((3, 3), 2 * I), ((1, 0), ONE)])
+    calls = (
+        lambda: _product(pair, pair, ONE),
+        lambda: _power(pair, 4, ONE),
+        lambda: normal_order((A + ADAG) ** 4),
+        lambda: convert(weyl, Ordering.QP),
+    )
+    want = [call() for call in calls]
+    monkeypatch.setattr(opalg, "MAX_WORK", 0)
+    assert [call() for call in calls] == want
+    assert opalg._BUDGET.get() is None
+    # Inside a budget each is refused before it multiplies, and the
+    # budget closes on the way out.
+    for call in calls:
+        with pytest.raises(WorkLimitError), work_budget() as budget:
+            call()
+        assert budget.work > 0 and opalg._BUDGET.get() is None
+    # Budgets nest: the inner one charges only itself.
+    monkeypatch.undo()
+    with work_budget() as outer:
+        with work_budget() as inner:
+            _product(pair, pair, ZERO)
+        assert opalg._BUDGET.get() is outer
+    assert (outer.work, inner.work) == (0, opalg._product_work(pair, pair))
+
+
 def test_powers_of_one_commuting_term_are_one_monomial(monkeypatch):
     # A one-term leaf whose factors commute (any term at f = 0, a power of
     # one generator or a scalar at f = 1) is raised without the product;
     # every power agrees with the product taken e - 1 times.  A run of one
     # symbol in a product is that power too.
-    products = []
+    products, multiply = [], opalg._multiply
 
     def counted(*args):
         products.append(args)
-        return _product(*args)
+        return multiply(*args)
 
     two_i = 2 * I
     cases = (
@@ -503,7 +536,7 @@ def test_powers_of_one_commuting_term_are_one_monomial(monkeypatch):
             for _ in range(e - 1):
                 want = _product(want, leaf, f)
             for tree in (PowerNode(Q, e), ProductNode((Q,) * e)):
-                monkeypatch.setattr(opalg, "_product", counted)
+                monkeypatch.setattr(opalg, "_multiply", counted)
                 products.clear()
                 got = _evaluate(tree, leaves, f)
                 monkeypatch.undo()

@@ -219,7 +219,7 @@ def test_second_routes_run_neither_the_generator_nor_the_product(monkeypatch):
         raise AssertionError("a second route ran the code it checks")
 
     for module in (opalg, conv):
-        for name in ("_product", "_conversion_terms"):
+        for name in ("_product", "_multiply", "_conversion_terms"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     routes = {
         (m, r): (
@@ -352,6 +352,31 @@ conversion_inputs = st.dictionaries(
 )
 
 
+def _conversion_work(poly: OrderedPolynomial, target: Ordering) -> int:
+    """Reference for the work a budget charges ``convert``, in one pass
+    over the terms: per term Q^m P^r, k + 1 products of a ``bits``-bit
+    coefficient by a ``count``-bit l! C(m,l) C(r,l), over 2^l if f =
+    +-i/2, each charged bits + count (at least 1), times min(bits, count)
+    / 2**16 past 2**16."""
+    if poly.ordering is target:
+        return 0
+    half = Ordering.WEYL in (poly.ordering, target)
+    bits, work = opalg._coefficient_bits(poly.terms), 0
+    for m, r in poly.terms:
+        k = min(m, r)
+        count = min(m + r + math.ceil(math.lgamma(k + 1) / math.log(2)),
+                    k * (m * r).bit_length()) + (k if half else 0)
+        work += (k + 1) * max(1, bits + count) * max(1, min(bits, count) >> 16)
+    return work
+
+
+def _charged(poly: OrderedPolynomial, target: Ordering) -> int:
+    """The work a budget is charged for converting ``poly`` to ``target``."""
+    with opalg.work_budget() as budget:
+        conv.convert(poly, target)
+    return budget.work
+
+
 @given(conversion_inputs, st.sampled_from(list(Ordering)), st.sampled_from(list(Ordering)))
 @settings(max_examples=200, deadline=None)
 @example({(400, 400): ONE}, Ordering.WEYL, Ordering.PQ)
@@ -359,20 +384,23 @@ conversion_inputs = st.dictionaries(
 @example({(2000000, 1): ONE, (3, 2000): ONE}, Ordering.PQ, Ordering.QP)
 @example({(0, 0): I}, Ordering.PQ, Ordering.QP)  # a unit: 0 bits, 0 count
 def test_conversion_work_bounds_the_coefficient_products(terms, source, target):
-    # Per input term, each of its k + 1 coefficient products is charged at
+    # A budget charges a conversion the reference work, term by term.  Per
+    # input term, each of its k + 1 coefficient products is charged at
     # least its bits, times the shorter operand's bits / 2**16 past 2**16,
     # and the work of a sum is at least the sum of its terms' work.  A
     # conversion to its own tag does nothing.
     poly = OrderedPolynomial.from_terms(source, terms.items())
+    charged = _charged(poly, target)
+    assert charged == _conversion_work(poly, target)
     if source is target:
-        assert opalg._conversion_work(poly, target) == 0
+        assert charged == 0
         return
     factor, total = conv._FACTORS[source, target], 0
     for (m, r), c in poly.terms.items():
-        work = opalg._conversion_work(OrderedPolynomial(source, {(m, r): c}), target)
+        work = _charged(OrderedPolynomial(source, {(m, r): c}), target)
         factors = [n for _, n in opalg._conversion_terms(m, r, factor)]
         bits = max(1, *(_bits(n * c) for n in factors))
         shorter = min(_bits(c), max(map(_bits, factors)))
         assert len(factors) * bits * max(1, shorter >> 16) <= work
         total += work
-    assert opalg._conversion_work(poly, target) >= total
+    assert charged >= total
