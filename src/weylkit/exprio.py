@@ -46,7 +46,9 @@ into an int (:func:`max_int_digits`); past either bound the parser
 raises :class:`ParseError`.  So does a block whose products, powers and,
 if it is spliced, conversion to words charge its own
 :class:`weylkit.opalg.work_budget` past ``opalg.MAX_WORK``: at the
-operator, or the opening tag for the conversion, before it multiplies.
+operator, or the opening tag for the conversion, before the product that
+would pass the cap is made.  A power of more than one term is its
+products, so it is refused at its '^' after the products under the cap.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from . import opalg, ordering as _conv
 from .exactnum import MINUS_ONE, ExactScalar, I, ONE, SQRT2, ZERO
 from .opalg import (
     FreeExpression,
-    Monomial,
     OrderedPolynomial,
     Ordering,
     PowerNode,
@@ -491,9 +492,10 @@ def _component_count(value: ExactScalar) -> int:
     return sum(1 for n in value.canonical[:4] if n)
 
 
-def _word_text(mon: Monomial, tag: Ordering) -> str:
-    q_part = "Q" if mon.m == 1 else (f"Q^{mon.m}" if mon.m else "")
-    p_part = "P" if mon.r == 1 else (f"P^{mon.r}" if mon.r else "")
+def _word_text(key: tuple[int, int], tag: Ordering) -> str:
+    m, r = key
+    q_part = "Q" if m == 1 else (f"Q^{m}" if m else "")
+    p_part = "P" if r == 1 else (f"P^{r}" if r else "")
     if tag is Ordering.PQ:
         parts = [p_part, q_part]
     else:
@@ -501,8 +503,8 @@ def _word_text(mon: Monomial, tag: Ordering) -> str:
     return "*".join(x for x in parts if x)
 
 
-def _term_text(mon: Monomial, coeff: ExactScalar, tag: Ordering) -> str:
-    word = _word_text(mon, tag)
+def _term_text(key: tuple[int, int], coeff: ExactScalar, tag: Ordering) -> str:
+    word = _word_text(key, tag)
     if not word:
         text = coeff.render()
         return f"({text})" if _component_count(coeff) > 1 else text
@@ -520,7 +522,7 @@ def render_terms(p: OrderedPolynomial) -> str:
     if p.is_zero():
         return "0"
     return " + ".join(
-        _term_text(mon, coeff, p.ordering) for mon, coeff in p.sorted_terms()
+        _term_text(key, coeff, p.ordering) for key, coeff in p.sorted_terms()
     )
 
 
@@ -545,7 +547,7 @@ def polynomial_to_json(p: OrderedPolynomial) -> dict:
         "node": "polynomial",
         "ordering": p.ordering.value,
         "terms": [
-            {"m": mon.m, "r": mon.r, "coeff": scalar_to_json(coeff)}
-            for mon, coeff in p.sorted_terms()
+            {"m": m, "r": r, "coeff": scalar_to_json(coeff)}
+            for (m, r), coeff in p.sorted_terms()
         ],
     }

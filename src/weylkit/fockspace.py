@@ -238,16 +238,16 @@ def evaluate(poly: OrderedPolynomial, dim: int) -> FockMatrix:
             "Weyl-tagged polynomials are symbolic; convert to PQ or QP first"
         )
     q, p = build_qp(dim)
-    max_m = max((mon.m for mon in poly.terms), default=0)
-    max_r = max((mon.r for mon in poly.terms), default=0)
+    max_m = max((m for m, _ in poly.terms), default=0)
+    max_r = max((r for _, r in poly.terms), default=0)
     q_pows = _matrix_powers(q.data, max_m)
     p_pows = _matrix_powers(p.data, max_r)
     total = np.zeros((dim, dim), dtype=complex)
-    for mon, coeff in poly.terms.items():
+    for (m, r), coeff in poly.terms.items():
         if poly.ordering is Ordering.PQ:
-            word = p_pows[mon.r] @ q_pows[mon.m]
+            word = p_pows[r] @ q_pows[m]
         else:
-            word = q_pows[mon.m] @ p_pows[mon.r]
+            word = q_pows[m] @ p_pows[r]
         total += coeff.to_complex() * word
     reliable = max(1, dim - poly.max_degree())
     return FockMatrix(total, reliable)

@@ -9,10 +9,12 @@ lives here, and :func:`_power` raises a term dict to a power with it.
 The parser folds ordering-block bodies with both, f = 0, as it reads
 them; :func:`_evaluate` folds them over a parse tree, f = 1 over (a+, a)
 for :func:`normal_order`, a run of one symbol as one power.
-In a :class:`work_budget`, :func:`_product`, :func:`_power` and
+In a :class:`work_budget`, :func:`_product` and
 :func:`weylkit.ordering.convert` charge their work right before they
-multiply, refusing work past ``MAX_WORK`` in all; outside one nothing is
-charged or bounded.
+multiply, and :func:`_power` before it raises one coefficient; any other
+power is its products, charged as the same product written out.  Work
+past ``MAX_WORK`` in all is refused; outside a budget nothing is charged
+or bounded.
 
 The rewriting oracle (:func:`rewrite_to_pq`, :func:`rewrite_to_qp`,
 :func:`commutator`) uses none of it: it expands into words over the
@@ -51,9 +53,11 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 from .exactnum import ExactScalar, I, MINUS_I, ONE, ZERO
 
 # Most work an ordering block's products and powers, or a command's
-# conversion, may do, in coefficient products times their bits; e.g.
-# pq{(1+Q+P)^64} is bounded at 5.2e7 and folds in 0.35 s (in-process,
-# 2-core x86-64, Python 3.11), and pq{(Q+P)^2000} at 1.6e10.
+# conversion, may do, in coefficient products times their bits.  The
+# worst accepted block of either spelling, pq{(1+Q+P)^102} or its 102
+# factors written out, is charged 6.7e7 and folds in 0.8-1.3 s of CPU
+# (in-process, 2-core x86-64, Python 3.11); pq{(Q+P)^464} is charged
+# 6.7e7 and folds in 0.5 s.
 MAX_WORK = 2**26
 
 
@@ -190,42 +194,19 @@ def _product_work(x: Mapping, y: Mapping) -> int:
     return len(x) * len(y) * _bit_work(_coefficient_bits(x) + _coefficient_bits(y))
 
 
-def _power_work(base: Mapping, exponent: int) -> int:
-    """The work of ``base**exponent``'s coefficient for one term, raised by
-    squaring; for more, a bound on the coefficient products of its
-    exponent - 1 products times the work of each."""
-    if len(base) == 1:
-        return _bit_work(exponent * _coefficient_bits(base))
-    if not base or exponent < 2:
-        return 0
-    # Each product term is a sum of exponent keys of base: at most one
-    # per multiset of base's terms and per point of the scaled box.
-    ms, rs = [m for m, _ in base], [r for _, r in base]
-    count = min(
-        math.comb(len(base) + exponent - 1, len(base) - 1),
-        (exponent * (max(ms) - min(ms)) + 1) * (exponent * (max(rs) - min(rs)) + 1),
-    )
-    bits = exponent * _coefficient_bits(base)
-    return (exponent - 1) * len(base) * count * _bit_work(bits)
-
-
 def _product(x: Mapping, y: Mapping, f: ExactScalar) -> dict:
-    """x*y by :func:`_multiply`, charged ``_product_work`` first in a budget
-    when a side has more than one term."""
-    budget = _BUDGET.get()
-    if budget is not None and (len(x) > 1 or len(y) > 1):
-        budget.charge(_product_work(x, y))
-    return _multiply(x, y, f)
-
-
-def _multiply(x: Mapping, y: Mapping, f: ExactScalar) -> dict:
     """Product of term dicts keyed (a, b) = left^a right^b, x outer, y inner:
     (left^a1 right^b1)(left^a2 right^b2) = sum_l f^l l! C(b1,l) C(a2,l)
     left^(a1+a2-l) right^(b1+b2-l), where right*left = left*right + f.
+    In a budget it is charged ``_product_work`` first when a side has more
+    than one term.
 
     No coefficient is multiplied by the l = 0 factor 1.  When f = 0 and
     one side has one term, the other's keys shift without collect: they
     stay distinct, and products of nonzero coefficients are nonzero."""
+    budget = _BUDGET.get()
+    if budget is not None and (len(x) > 1 or len(y) > 1):
+        budget.charge(_product_work(x, y))
     commuting = f.is_zero()
     if commuting and len(y) == 1:
         return _shift(x, *next(iter(y.items())))
@@ -262,33 +243,31 @@ def _power(base: Mapping, exponent: int, f: ExactScalar) -> dict:
 
     A power of one term whose factors commute (any term when f = 0, a
     power of one generator otherwise) is one monomial, its coefficient
-    raised by squaring.  Any other nonzero base is multiplied out
-    exponent - 1 times, left to right; the empty product is the unit.
-    In a budget it is charged ``_power_work`` once, before any of it is
-    made; a unit's power is made for free.
+    raised by squaring; in a budget that is charged once, before it is
+    raised, and a unit's power is free.  Any other nonzero base is
+    multiplied out exponent - 1 times, left to right, by :func:`_product`,
+    so it is charged as the same product written out; the empty product
+    is the unit.
     """
-    monomial = len(base) == 1
-    if monomial:
+    if len(base) == 1:
         (((a, b), c),) = base.items()
-        monomial = not (a and b) or f.is_zero()
-        if monomial and c is ONE:
-            return {(a * exponent, b * exponent): c}
-    budget = _BUDGET.get()
-    if budget is not None:
-        budget.charge(_power_work(base, exponent))
-    if monomial:
-        return {(a * exponent, b * exponent): c**exponent}
+        if not (a and b) or f.is_zero():
+            budget = _BUDGET.get()
+            if budget is not None and c is not ONE:
+                budget.charge(_bit_work(exponent * _coefficient_bits(base)))
+            return {(a * exponent, b * exponent): c if c is ONE else c**exponent}
     if not exponent:
         return {(0, 0): ONE}
     out = base  # zero, when base is, at once
     for _ in range(exponent - 1 if base else 0):
-        out = _multiply(out, base, f)
+        out = _product(out, base, f)
     return out
 
 
-def term_sort_key(mon: Monomial) -> tuple[int, int]:
-    """Descending total degree, then descending Q power."""
-    return (-mon.degree, -mon.m)
+def term_sort_key(key: tuple[int, int]) -> tuple[int, int]:
+    """Descending total degree, then descending Q power, of a key (m, r)."""
+    m, r = key
+    return (-m - r, -m)
 
 
 @dataclass(frozen=True)
@@ -319,7 +298,7 @@ class OrderedPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[Monomial, ExactScalar]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, int], ExactScalar]]:
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
 
     def __add__(self, other: OrderedPolynomial) -> OrderedPolynomial:
@@ -345,7 +324,7 @@ class OrderedPolynomial:
         )
 
     def max_degree(self) -> int:
-        return max((mon.degree for mon in self.terms), default=0)
+        return max((m + r for m, r in self.terms), default=0)
 
     def adjoint(self) -> OrderedPolynomial:
         """Formal adjoint: reverse each word, conjugate coefficients.
@@ -692,8 +671,8 @@ def to_expression(p: OrderedPolynomial) -> FreeExpression:
         else _qp_monomial_expression
     )
     parts = [
-        ScalarNode(coeff) * build(mon.m, mon.r)
-        for mon, coeff in p.sorted_terms()
+        ScalarNode(coeff) * build(m, r)
+        for (m, r), coeff in p.sorted_terms()
     ]
     if not parts:
         return ScalarNode(ZERO)

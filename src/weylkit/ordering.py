@@ -128,8 +128,8 @@ def _weyl_image_via_hermite(m: int, r: int, conjugated: bool) -> OrderedPolynomi
     prefactor = SQRT2.invert() ** (m + r) * sign_i**r
     cy = -sign_i * SQRT2
     scaled = (
-        (key, coeff * SQRT2**key.m * cy**key.r)
-        for key, coeff in hermite_two_var(m, r).terms.items()
+        ((j, k), coeff * SQRT2**j * cy**k)
+        for (j, k), coeff in hermite_two_var(m, r).terms.items()
     )
     return OrderedPolynomial.from_terms(Ordering.WEYL, scaled).scale(prefactor)
 

@@ -302,8 +302,8 @@ def suite_wigner(dim: int = 64) -> list[CheckResult]:
     for m in range(4):
         for r in range(4 - m):
             symbol = {
-                (k.m, k.r): c.to_complex()
-                for k, c in conv.pq_to_weyl(m, r).terms.items()
+                (j, k): c.to_complex()
+                for (j, k), c in conv.pq_to_weyl(m, r).terms.items()
             }
             got = fockspace.symbol_quantization(symbol, quads)
             ref = fockspace.evaluate(

@@ -34,9 +34,9 @@ from weylkit.opalg import (
     ScalarNode,
     SumNode,
     SymbolNode,
+    _bit_work,
     _coefficient_bits,
     _power,
-    _power_work,
     _product,
     _product_work,
     collect,
@@ -721,17 +721,17 @@ def test_block_at_the_nesting_cap_folds_like_the_reference(capsys):
 
 
 def test_block_work_bound_refuses_before_multiplying(monkeypatch):
+    # A power of one commuting term is charged once, before it is raised.
     # Past 2**16 bits a coefficient's bits count squared over 2**16:
     # 3^1300000 would have 2.1e6 bits.
-    for text, caret in (
-        ("pq{(Q+P)^2000}", 8),
-        ("pq{2^1000000000}", 4),
-        ("pq{3^1300000}", 4),
-    ):
-        with pytest.raises(ParseError) as err:
+    def refused(*args):
+        raise AssertionError("raised before the charge")
+
+    for text in ("pq{2^1000000000}", "pq{3^1300000}"):
+        with mock.patch.object(ExactScalar, "__pow__", refused), pytest.raises(ParseError) as err:
             parse(text)
         assert str(MAX_WORK) in err.value.message
-        assert err.value.span == (caret, caret + 1)
+        assert err.value.span == (4, 5)
     # One scalar and one term with a unit coefficient do no work, and
     # zero to any power is raised at once.
     assert parse("pq{i^100000000*(Q*P)^1000}").terms == {Monomial(1000, 1000): ONE}
@@ -752,6 +752,32 @@ def test_block_work_bound_refuses_before_multiplying(monkeypatch):
     assert err.value.span == (32, 33)
     help_text = " ".join(cli.build_parser().format_help().split())
     assert f"at most {opalg.MAX_WORK} coefficient products" in help_text
+
+
+def test_a_multi_term_power_is_refused_at_its_crossing_product(monkeypatch):
+    # A power of more than one term is made product by product, each
+    # charged as in its written-out spelling: (Q+P)^464 fits under the cap
+    # after 463 products.  A hopeless power is refused at the '^' by the
+    # product that would pass the cap, the 464th, as the 465-factor
+    # product is refused at its last '*'.
+    calls, product = [], opalg._product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(opalg, "_product", counted)
+    assert len(parse("pq{(Q+P)^464}").terms) == 465
+    assert len(calls) == 463
+    calls.clear()
+    with pytest.raises(ParseError) as err:
+        parse("pq{(Q+P)^2000}")
+    assert err.value.span == (8, 9) and str(MAX_WORK) in err.value.message
+    assert len(calls) == 464
+    with pytest.raises(ParseError) as err:
+        parse("pq{" + "*".join(["(Q+P)"] * 465) + "}")
+    star = len("pq{") + 6 * 464 - 1
+    assert err.value.span == (star, star + 1) and str(MAX_WORK) in err.value.message
 
 
 def test_a_refused_block_leaves_no_budget_open(monkeypatch):
@@ -827,10 +853,23 @@ def _product_charge(x: dict, y: dict) -> int:
     return _product_work(x, y) if len(x) > 1 or len(y) > 1 else 0
 
 
+def _power_charge(x: dict, exponent: int) -> int:
+    """Reference for a power's charge: one term is charged its
+    coefficient raised, once; more are charged the sum of _product_charge
+    over the left fold x*x*...*x."""
+    if len(x) == 1:
+        return _bit_work(exponent * _coefficient_bits(x))
+    work, out = 0, x
+    for _ in range(exponent - 1):
+        work += _product_charge(out, x)
+        out = _reference_product(out, x)
+    return work
+
+
 def _block_charge(x: dict, y: dict, exponent: int) -> int:
     """Reference for the parser's sum over the block (x)*(y)^exponent:
-    the power's _power_work, then the product's charge."""
-    return _power_work(y, exponent) + _product_charge(x, _power(y, exponent, ZERO))
+    the power's charge, then the product's."""
+    return _power_charge(y, exponent) + _product_charge(x, _power(y, exponent, ZERO))
 
 
 @given(block_terms, block_terms, st.integers(0, 5))
@@ -847,7 +886,7 @@ def test_block_work_bounds_the_result(x, y, exponent):
     assert _largest(product) <= 2 ** (bits + _coefficient_bits(y))
     with work_budget() as budget:
         power = _power(x, exponent, ZERO)
-    assert budget.work == _power_work(x, exponent)
+    assert budget.work == _power_charge(x, exponent)
     assert _largest(power) <= 2 ** (exponent * bits)
     # The power's charge covers each of its products: terms times terms
     # times the bits of the result.
@@ -877,6 +916,45 @@ def test_block_budget_charges_what_the_parser_summed(x, y, exponent):
     star = len(f"qp{{({left})")
     at = star if _product_charge(x, _power(y, exponent, ZERO)) else text.index(")^") + 1
     assert err.value.span == (at, at + 1)
+
+
+@given(block_terms, st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_a_power_is_charged_as_its_written_out_product(x, exponent):
+    # A power of more than one term charges what the left fold x*x*...*x
+    # charges through _product, and makes the same terms.  So at a cap of
+    # that charge both spellings are accepted, and one below both are
+    # refused: the power at the '^', the product at the '*' whose charge
+    # crosses.  One term keeps its one charge before it is raised, which
+    # its written-out product, one-term factors only, never pays.
+    with work_budget() as power_budget:
+        power = _power(x, exponent, ZERO)
+    with work_budget() as fold_budget:
+        fold, steps = (x if exponent else {(0, 0): ONE}), []
+        for _ in range(exponent - 1):
+            work = fold_budget.work
+            fold = _product(fold, x, ZERO)
+            steps.append(fold_budget.work - work)
+    assert power == fold
+    charge = power_budget.work
+    if len(x) == 1:
+        assert (charge, fold_budget.work) == (_bit_work(exponent * _coefficient_bits(x)), 0)
+        return
+    assert charge == fold_budget.work == _power_charge(x, exponent)
+    body = f"({render_terms(OrderedPolynomial.from_terms(Ordering.QP, x.items()))})"
+    power_text = f"qp{{{body}^{exponent}}}"
+    written_text = "qp{" + ("*".join([body] * exponent) or "1") + "}"
+    with mock.patch.object(opalg, "MAX_WORK", charge):
+        assert parse(power_text) == parse(written_text)
+    if not charge:
+        return
+    crossing = next(k for k in range(len(steps)) if sum(steps[: k + 1]) > charge - 1)
+    star = len("qp{") + (crossing + 1) * (len(body) + 1) - 1
+    caret = len(power_text) - len(f"^{exponent}}}")
+    for text, at in ((power_text, caret), (written_text, star)):
+        with mock.patch.object(opalg, "MAX_WORK", charge - 1), pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.span == (at, at + 1), text
 
 
 def _parens(depth: int) -> str:

@@ -2,11 +2,12 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit import opalg
+from weylkit import exprio, fockspace, opalg
 from weylkit.exactnum import ZERO, ExactScalar, I, MINUS_I, ONE, SQRT2
 from weylkit.opalg import (
     A,
@@ -479,6 +480,26 @@ def test_product_edge_cases():
     assert _product({(1, 0): ONE}, {(0, 1): ONE}, ZERO) == {(1, 1): ONE}
 
 
+def test_plain_pair_keys_read_like_monomials():
+    # A polynomial built with plain (m, r) tuples as keys renders, sorts,
+    # converts, encodes, becomes words and evaluates as its Monomial-keyed
+    # twin does.
+    pairs = [((1, 1), ONE), ((0, 2), 2 * I), ((3, 0), SQRT2), ((0, 0), MINUS_I)]
+    for tag in Ordering:
+        plain = OrderedPolynomial(tag, dict(pairs))
+        twin = OrderedPolynomial.from_terms(tag, pairs)
+        assert plain.sorted_terms() == twin.sorted_terms()
+        assert plain.max_degree() == twin.max_degree() == 3
+        for render in (exprio.render, exprio.render_terms, exprio.polynomial_to_json):
+            assert render(plain) == render(twin), render
+        for target in Ordering:
+            assert convert(plain, target) == convert(twin, target)
+        if tag is Ordering.WEYL:
+            continue
+        assert to_expression(plain) == to_expression(twin)
+        assert np.array_equal(fockspace.evaluate(plain, 8).data, fockspace.evaluate(twin, 8).data)
+
+
 def test_nothing_is_bounded_outside_a_budget(monkeypatch):
     # With no budget open, a cap of 0 bounds nothing: the product, the
     # power, normal ordering and conversion return what they did before.
@@ -514,11 +535,11 @@ def test_powers_of_one_commuting_term_are_one_monomial(monkeypatch):
     # one generator or a scalar at f = 1) is raised without the product;
     # every power agrees with the product taken e - 1 times.  A run of one
     # symbol in a product is that power too.
-    products, multiply = [], opalg._multiply
+    products = []
 
     def counted(*args):
         products.append(args)
-        return multiply(*args)
+        return _product(*args)
 
     two_i = 2 * I
     cases = (
@@ -536,7 +557,7 @@ def test_powers_of_one_commuting_term_are_one_monomial(monkeypatch):
             for _ in range(e - 1):
                 want = _product(want, leaf, f)
             for tree in (PowerNode(Q, e), ProductNode((Q,) * e)):
-                monkeypatch.setattr(opalg, "_multiply", counted)
+                monkeypatch.setattr(opalg, "_product", counted)
                 products.clear()
                 got = _evaluate(tree, leaves, f)
                 monkeypatch.undo()

