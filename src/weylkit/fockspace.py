@@ -38,9 +38,9 @@ O(dim * rows * len(x)) instead of O(dim^2 * points); see
 :func:`wigner_function`.  The two routes share no code past the state,
 so each checks the other (``verify wigner`` and the tests).
 
-Quadratures use the midpoint rule on uniform grids.  Passes are
-accumulated in a fixed order, so results are reproducible independent
-of any parallel scheduling.
+Quadratures use the midpoint rule on uniform grids, a marginal's sized
+from its block (:func:`marginal_check`).  Passes are accumulated in a
+fixed order, so results are reproducible whatever the parallel scheduling.
 """
 
 from __future__ import annotations
@@ -97,10 +97,7 @@ def build_ladder(dim: int) -> tuple[FockMatrix, FockMatrix]:
     if dim < 2:
         raise ValueError("need at least two levels")
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
-    return (
-        FockMatrix(a, dim - 1),
-        FockMatrix(a.conj().T, dim - 1),
-    )
+    return FockMatrix(a, dim - 1), FockMatrix(a.conj().T, dim - 1)
 
 
 def build_qp(dim: int) -> tuple[FockMatrix, FockMatrix]:
@@ -113,6 +110,8 @@ def build_qp(dim: int) -> tuple[FockMatrix, FockMatrix]:
 
 def coherent_state(beta: complex, dim: int) -> np.ndarray:
     """Normalized coherent-state column, componentwise e^{-|b|^2/2} b^n/sqrt(n!)."""
+    if not np.isfinite(beta):
+        raise ValueError("coherent amplitude must be finite")
     if abs(beta) ** 2 > dim / 4.0:
         raise TruncationError(
             f"|beta|^2 = {abs(beta) ** 2:.3f} too large for dim {dim}; "
@@ -269,10 +268,10 @@ def wigner_function(rho: FockMatrix | np.ndarray, q_axis, p_axis) -> np.ndarray:
     """Samples of Tr[rho * kernel(q, p)] on the grid q_axis x p_axis.
 
     Returns the (len(q_axis), len(p_axis)) array of samples.  The state
-    must be Hermitian with unit trace (checked to 1e-8), and every
-    coordinate finite; the axes may be unsorted and non-uniform.  Values
-    are returned complex; they are real to working precision for a valid
-    state.
+    must be finite and Hermitian with unit trace (checked to 1e-8), and
+    every coordinate finite; the axes may be unsorted and non-uniform.
+    Values are returned complex; they are real to working precision for
+    a valid state.
 
     The samples come from the coordinate form of the kernel,
     Delta(q, p) = (1/pi) int dv |q+v><q-v| e^{2ipv}, so that with x = q + v
@@ -306,8 +305,8 @@ def wigner_function(rho: FockMatrix | np.ndarray, q_axis, p_axis) -> np.ndarray:
     most ``_KERNEL_CHUNK`` columns.
     """
     mat = rho.data if isinstance(rho, FockMatrix) else np.asarray(rho, complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("state must be a square matrix")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.isfinite(mat).all():
+        raise ValueError("state must be a finite square matrix")
     if np.abs(mat - mat.conj().T).max() > 1e-8:
         raise ValueError("state must be Hermitian (tolerance 1e-8)")
     if abs(np.trace(mat) - 1.0) > 1e-8:
@@ -381,22 +380,22 @@ def momentum_projector(value: float, block: int) -> np.ndarray:
 
 
 def marginal_check(
-    axis: str,
-    value: float,
-    dim: int,
-    *,
-    block: int | None = None,
-    half_range: float = 12.0,
-    step: float = 0.01,
+    axis: str, value: float, dim: int, *, block: int | None = None
 ) -> tuple[FockMatrix, FockMatrix]:
     """Quadrature marginal of the kernel against the analytic projector.
 
-    Integrating out p at fixed q = value must give |q><q|, and
-    symmetrically for the p axis.  Returns (numeric, analytic) matrices
-    of size ``block`` (defaults to ``dim``).  The quadrature window
-    [-L, L] bounds which entries converge: entry (m, n) needs the
-    classical turning radius sqrt(2 max(m,n)+1) plus a Gaussian tail
-    inside L, which is what the declared reliable_dim records.
+    Integrating out p at fixed q = value must give |q><q| (the p axis is
+    the same with q and p exchanged).  Returns (numeric, analytic)
+    matrices of size ``block`` (defaults to ``dim``), both reliable on
+    the whole block, from a midpoint grid that follows from the block:
+
+    * reach R = sqrt(2 block + 1) + 6: every <j|Delta(q, p)|k> with
+      j, k < block is below rounding past |p| = R;
+    * step h = pi / (R + 6): in <j|Delta|k> = (1/pi) int dv
+      psi_j(q+v) psi_k(q-v) e^{2ipv} the v-content lies in |v| <= R,
+      and the sum's aliases, at v = m pi/h for m != 0, lie past R + 6;
+    * points h (n + 1/2), n = -ceil(R/h) .. ceil(R/h) - 1: 104 at
+      block 8, 394 at block 128.
     """
     if axis not in ("q", "p"):
         raise ValueError("axis must be 'q' or 'p'")
@@ -404,21 +403,19 @@ def marginal_check(
         raise ValueError("marginal value must satisfy |value| <= 4")
     if block is None:
         block = dim
-    count = int(round(2.0 * half_range / step))
-    grid = -half_range + (np.arange(count) + 0.5) * step
-    fixed = np.full(count, float(value))
+    reach = math.sqrt(2 * block + 1) + 6.0
+    step = math.pi / (reach + 6.0)
+    half = math.ceil(reach / step)
+    grid = step * (np.arange(-half, half) + 0.5)
+    fixed = np.full(len(grid), float(value))
     if axis == "q":
         qs, ps = fixed, grid
         analytic = position_projector(value, block)
     else:
         qs, ps = grid, fixed
         analytic = momentum_projector(value, block)
-    numeric = _kernel_sums(qs, ps, np.full((1, count), step), block)[0]
-    reliable = int(max(1, min(block, ((half_range - 4.0) ** 2 - 1.0) // 2)))
-    return (
-        FockMatrix(numeric, reliable),
-        FockMatrix(analytic, block),
-    )
+    numeric = _kernel_sums(qs, ps, np.full((1, len(grid)), step), block)[0]
+    return FockMatrix(numeric, block), FockMatrix(analytic, block)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""The benchmark's traced-layer gate on the exact workloads.
+"""The benchmark's traced-layer gate on every workload.
 
 ``bench/run.py --trace 1`` reports a failure when a layer its workload
 is meant to stress (``run.STRESSED``) records no span.  This runs one
-seed's batch of each exact workload under ``tracing.instrument``,
-checks every output, and asserts the gate would pass, so moving a call
-off a traced layer fails here rather than only in the benchmark.  It
-reads ``bench/`` and changes nothing there.
+seed's batch of each workload under ``tracing.instrument``, checks
+every output, and asserts the gate would pass, so moving a call off a
+traced layer or name fails here rather than only in the benchmark.
+It reads ``bench/`` and changes nothing there.
 
 It also pins the hooks the benchmark finds on ``ExactScalar``: the
 output fingerprint walks its dataclass fields, the checks call
@@ -28,11 +28,14 @@ sys.path.insert(0, str(BENCH))
 
 import cli_exact  # noqa: E402
 import oracle_sweep  # noqa: E402
+import phase_space  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", (oracle_sweep, cli_exact), ids=lambda w: w.NAME)
+@pytest.mark.parametrize(
+    "workload", (oracle_sweep, cli_exact, phase_space), ids=lambda w: w.NAME
+)
 def test_stressed_layers_record_spans(workload, tmp_path):
     items = workload.generate(1)
     prepared = [workload.prepare(item, tmp_path) for item in items]

@@ -198,6 +198,18 @@ def test_expand_power_two(capsys):
     assert out.strip() == "Q^2 + 2*P*Q + P^2 + i"
 
 
+def test_expand_refuses_a_negative_power(capsys, schema):
+    code, out, err = run(capsys, "expand", "Q", "--power", "-1", "--to", "pq")
+    assert code == 2 and not out
+    assert "--power must be non-negative" in err
+    code, doc = run_json(
+        capsys, schema, "expand", "Q", "--power", "-1", "--to", "pq", "--format", "json"
+    )
+    assert code == 2
+    assert doc["status"] == "error"
+    assert doc["payload"]["message"] == "--power must be non-negative"
+
+
 def test_scalar_sums_count_as_one_word(capsys):
     # (1 + 1) folds to 2 as it parses, so its 30th power is one word of
     # 30 symbols, not 2^30 words.
@@ -445,6 +457,26 @@ def test_verify_json_failure_is_strict_json(capsys, schema, monkeypatch):
     assert first["oracle"] == exprio.render(right(2, 1))
 
 
+def test_verify_text_output_shows_a_failing_check(capsys, monkeypatch):
+    def failing():
+        return [
+            verify.CheckResult("holds", True),
+            verify.CheckResult("breaks", False, computed="pq{P*Q}", oracle="pq{P*Q + i}"),
+        ]
+
+    monkeypatch.setitem(verify.SUITES, "orderings", failing)
+    code, out, _ = run(capsys, "verify", "orderings")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "PASS  holds  [exact]"
+    assert lines[1:4] == [
+        "FAIL  breaks  [MISMATCH]",
+        "      computed: pq{P*Q}",
+        "      oracle:   pq{P*Q + i}",
+    ]
+    assert lines[-1] == "orderings: 1/2 checks passed"
+
+
 def test_verify_resource_guards(capsys):
     code, _, err = run(capsys, "verify", "orderings", "--max-degree", "9")
     assert code == 2
@@ -620,6 +652,19 @@ def test_transform_input_validation(capsys, tmp_path):
     )
     assert code == 2
     assert "NaN" not in stdout and "Infinity" not in stdout
+
+
+def test_transform_reports_an_unwritable_output(capsys, schema, tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, err = run(capsys, "transform", "--gaussian", "--out", str(out))
+    assert code == 2 and not stdout
+    assert err.startswith("cannot write output")
+    code, doc = run_json(
+        capsys, schema, "transform", "--gaussian", "--out", str(out), "--json"
+    )
+    assert code == 2
+    assert doc["payload"]["message"].startswith("cannot write output")
+    assert not out.parent.exists()
 
 
 def test_transform_refuses_a_header_past_the_cell_cap(capsys, tmp_path):

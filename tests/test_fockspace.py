@@ -74,6 +74,15 @@ def test_coherent_state_adequacy_guard():
         fs.coherent_state(3.0, 16)
 
 
+@pytest.mark.parametrize(
+    "beta", [complex("nan"), math.inf, complex(1.0, -math.inf), math.nan]
+)
+def test_coherent_state_refuses_a_non_finite_amplitude(beta):
+    # abs(nan)**2 > dim/4 is False: the adequacy guard alone misses nan.
+    with pytest.raises(ValueError, match="finite"):
+        fs.coherent_state(beta, 8)
+
+
 def test_displacement_matches_scaling_and_squaring():
     a, adag = fs.build_ladder(48)
     rng = np.random.default_rng(7)
@@ -422,6 +431,17 @@ def test_wigner_function_validates_state():
             fs.wigner_function(rho, [0.0], [0.0, bad])
 
 
+@pytest.mark.parametrize("entry", [(1, 1), (0, 2)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_wigner_function_refuses_a_non_finite_state(entry, bad):
+    # The Hermitian and trace checks compare with >, which is False for
+    # nan: they alone would return nan samples.
+    rho = np.eye(4, dtype=complex) / 4
+    rho[entry] = bad
+    with pytest.raises(ValueError, match="state must be a finite square matrix"):
+        fs.wigner_function(rho, [0.0], [0.0])
+
+
 def test_wigner_function_quick_normalization():
     state = fs.coherent_state(0.4 + 0.2j, 32)
     rho = np.outer(state, state.conj())
@@ -441,27 +461,65 @@ def test_marginal_origin_entries():
     assert abs(numeric_p.data[0, 0].real - 1.0 / math.sqrt(math.pi)) < 1e-6
 
 
+def _marginal_grid(block):
+    # The midpoint grid the marginal derives from its block: reach
+    # R = sqrt(2 block + 1) + 6, step pi / (R + 6), points h (n + 1/2).
+    reach = math.sqrt(2 * block + 1) + 6.0
+    step = math.pi / (reach + 6.0)
+    half = math.ceil(reach / step)
+    return step * (np.arange(-half, half) + 0.5), step
+
+
+@pytest.mark.parametrize("block", [1, 2, 8, 16, 31, 64, 128])
+def test_marginal_matches_the_projector_on_the_whole_block(block):
+    # Every entry of the block is trusted, not only a corner: a fixed
+    # window of half-width 12 holds only the top-left 31 x 31.
+    for axis, projector in (("q", fs.position_projector), ("p", fs.momentum_projector)):
+        for value in (-4.0, -2.0, 0.0, 1.3, 4.0):
+            numeric, analytic = fs.marginal_check(axis, value, block)
+            assert numeric.reliable_dim == analytic.reliable_dim == block
+            assert np.array_equal(analytic.data, projector(value, block))
+            assert np.abs(numeric.data - analytic.data).max() < 1e-12, (axis, value)
+
+
 def test_marginal_matches_reference_sum():
-    # 8000 points: the chunk seam falls near q = 0.3, where the kernel
-    # is large.
-    step, half_range = 0.003, 12.0
-    grid = -half_range + (np.arange(8000) + 0.5) * step
-    assert len(grid) > fs._KERNEL_CHUNK
-    numeric, _ = fs.marginal_check("p", 1.5, 64, block=12, step=step)
+    grid, step = _marginal_grid(12)
+    assert len(grid) == 120
+    numeric, _ = fs.marginal_check("p", 1.5, 64, block=12)
     blocks = _reference_kernel_blocks(grid, np.full(len(grid), 1.5), 12)
     assert np.abs(numeric.data - blocks.sum(axis=0) * step).max() < 1e-12
 
 
+def test_kernel_sums_match_reference_across_a_chunk_seam():
+    # 8000 points: the chunk seam falls near q = 0.3, where the kernel is
+    # large.  One weight row sums every point, the other only the six
+    # points at the seam.
+    step = 0.003
+    grid = -12.0 + (np.arange(8000) + 0.5) * step
+    seam = fs._KERNEL_CHUNK
+    assert len(grid) > seam
+    weights = np.zeros((2, len(grid)))
+    weights[0] = step
+    weights[1, seam - 3:seam + 3] = 1.0
+    ps = np.full(len(grid), 1.5)
+    got = fs._kernel_sums(grid, ps, weights, 12)
+    blocks = _reference_kernel_blocks(grid, ps, 12)
+    want = np.einsum("wn,njk->wjk", weights, blocks)
+    assert np.abs(got - want).max() < 1e-12
+
+
 def test_marginal_memory_is_bounded_by_the_chunk():
-    # One (points x block x block) array would be 629 MB at block 128 on
-    # 2400 points; a few columns of (block x points) are about 5 MB each.
+    # One (points x block x block) array would be 103 MB at block 128 on
+    # its 394 points; a few columns of (block x points) are under 1 MB
+    # each, and the peak is about 4 MB.
     tracemalloc.start()
     try:
         numeric, _ = fs.marginal_check("q", 0.0, 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64e6
+    assert len(_marginal_grid(128)[0]) == 394
+    assert peak < 16e6
     assert np.isfinite(numeric.data).all()
 
 
@@ -475,6 +533,10 @@ def test_marginal_check_guards():
             fs.marginal_check("q", bad, 16)
         with pytest.raises(ValueError):
             fs.marginal_check("p", bad, 16)
+    # The grid follows from the block: a window or a step is not taken.
+    for option in ("half_range", "step"):
+        with pytest.raises(TypeError):
+            fs.marginal_check("q", 0.0, 16, **{option: 1.0})
 
 
 def test_hermite_functions_match_explicit_forms():
