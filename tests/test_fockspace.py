@@ -154,6 +154,18 @@ def test_quadrature_sweep_matches_reference_across_pass_seams():
         assert np.abs(mat - want[mr] * step * step).max() < 1e-12, mr
 
 
+def test_quadrature_sweep_default_grid_at_block_8():
+    # The [-7, 7]^2 window sets the error at block 8, not the step: the
+    # default step 0.05 and the finer 0.02 agree to about 1.5e-11.
+    coarse = fs.monomial_quantization_quadrature(4, block=8)
+    fine = fs.monomial_quantization_quadrature(4, block=8, step=0.02)
+    assert len(coarse) == 15
+    for (m, r), got in coarse.items():
+        want = fs.evaluate(conv.weyl_to_pq(m, r), 64).data[:8, :8]
+        assert np.abs(got - want).max() < 1e-8, (m, r)
+        assert np.abs(got - fine[m, r]).max() < 1e-10, (m, r)
+
+
 def test_wigner_function_matches_reference_across_chunks():
     dim = 128
     rng = np.random.default_rng(5)
@@ -533,6 +545,11 @@ def test_marginal_check_guards():
             fs.marginal_check("q", bad, 16)
         with pytest.raises(ValueError):
             fs.marginal_check("p", bad, 16)
+    for block in (0, -1):
+        with pytest.raises(ValueError, match="block"):
+            fs.marginal_check("q", 0.0, 16, block=block)
+    with pytest.raises(ValueError, match="block"):
+        fs.marginal_check("p", 0.0, 0)
     # The grid follows from the block: a window or a step is not taken.
     for option in ("half_range", "step"):
         with pytest.raises(TypeError):

@@ -309,6 +309,34 @@ def test_transforms_of_the_wigner_operator_are_the_ordered_deltas():
     assert np.abs(forward - delta_pq).max() > 0.1
 
 
+def test_inverse_of_the_conjugate_is_the_conjugate_of_forward():
+    # The identity that lets verify transform only the lower triangle of
+    # the Wigner operator, checked on a field with no symmetry.
+    field = px.SampledField.from_function(
+        lambda qg, pg: (qg + 1j * pg) * np.exp(-((qg - 0.7) ** 2) - (pg + 0.4) ** 2)
+    )
+    conjugate = replace(field, values=field.values.conj())
+    want = px.forward_transform(field).values.conj()
+    assert np.abs(want).max() > 0.1
+    assert np.abs(px.inverse_transform(conjugate).values - want).max() < 1e-14
+
+
+def test_wigner_operator_images_transform_the_lower_triangle_only(monkeypatch):
+    calls = {"forward": 0, "inverse": 0}
+
+    def counted(name, transform):
+        def wrapper(field):
+            calls[name] += 1
+            return transform(field)
+        return wrapper
+
+    monkeypatch.setattr(px, "forward_transform", counted("forward", px.forward_transform))
+    monkeypatch.setattr(px, "inverse_transform", counted("inverse", px.inverse_transform))
+    verify._wigner_operator_images()
+    # 6 * 7 / 2 entries with j >= k; the other 15 follow by Hermiticity.
+    assert calls == {"forward": 21, "inverse": 21}
+
+
 def test_regularized_monomials_extrapolate_to_symbol():
     """Gaussian-regularized monomials, Richardson-extrapolated in the
     regularization strength, reproduce the exact symbols.
